@@ -11,8 +11,10 @@ GO ?= go
 # internal/obs is the observability layer PR 2 introduced; its nil-receiver
 # no-op paths are easy to leave untested by accident. internal/workload is
 # the PR 7 dynamic-workload engine, whose property/golden wall is the whole
-# point — a coverage drop there means the wall has holes.
-COVER_FLOORS = repro/internal/obs:80 repro/internal/workload:80
+# point — a coverage drop there means the wall has holes. internal/mm parses
+# untrusted uploads; its fast path and per-line fallback must both stay
+# exercised.
+COVER_FLOORS = repro/internal/obs:80 repro/internal/workload:80 repro/internal/mm:90
 
 # Seconds of coverage-guided fuzzing per fuzzer in `make fuzz`.
 FUZZTIME ?= 10s
@@ -82,12 +84,12 @@ race:
 # simulator, and the experiment fan-out. Output lands in BENCH_$(BENCH_PR).json
 # (committed as this PR's baseline); diff two baselines with
 # `./bin/benchdiff [-threshold 1.25] BENCH_old.json BENCH_new.json`.
-BENCH_PR ?= 9
+BENCH_PR ?= 12
 # Iteration budget per tracked benchmark in `make bench`. The committed
 # baselines are measured on an otherwise idle machine with a few seconds
 # per benchmark; short-sample runs of the ~100ms studies are noise-bound.
 BENCHTIME ?= 3s
-TRACKED_BENCH = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkModelEstimateGrid|BenchmarkSimulateHeterogeneous|BenchmarkPartitionHotTiles|BenchmarkSpMMParallel
+TRACKED_BENCH = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkModelEstimateGrid|BenchmarkSimulateHeterogeneous|BenchmarkPartitionHotTiles|BenchmarkSpMMParallel|BenchmarkMatrixMarketIO
 TRACKED_BENCH_SIM = BenchmarkEngine|BenchmarkWaterfill|BenchmarkRunnerReuse
 TRACKED_BENCH_WORKLOAD = BenchmarkGNNForward|BenchmarkEvolveReplan
 TRACKED_BENCH_LINT = BenchmarkLintSuite
@@ -145,8 +147,10 @@ cover:
 
 # fuzz runs each fuzzer's coverage-guided loop for FUZZTIME — a smoke pass,
 # not a soak; the seed corpora also run in every plain `go test ./...`.
+# -fuzz must match exactly one fuzzer per run, hence the anchored patterns.
 fuzz:
-	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/mm
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/mm
+	$(GO) test -run='^$$' -fuzz='^FuzzReadMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/mm
 	$(GO) test -fuzz=FuzzCOOToCSR -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -fuzz=FuzzReadPlan -fuzztime=$(FUZZTIME) ./internal/hotcore
 

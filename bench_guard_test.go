@@ -8,7 +8,7 @@ import (
 
 // benchBaseline is the committed BENCH_*.json this PR's guards read; bump it
 // together with BENCH_PR in the Makefile when a new baseline lands.
-const benchBaseline = "BENCH_9.json"
+const benchBaseline = "BENCH_12.json"
 
 // TestFanoutParity guards against the parallel/serial inversion that
 // BENCH_8.json recorded for BenchmarkExperimentsFanout (parallel 231ms vs

@@ -116,7 +116,7 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 	defer metrics.Body.Close()
 	text, _ := io.ReadAll(metrics.Body)
-	for _, want := range []string{"planstore_builds", "hottilesd_plan_requests"} {
+	for _, want := range []string{"planstore_builds", "hottilesd_plan_requests", "mm_read_ns_count"} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %s", want)
 		}

@@ -125,6 +125,9 @@ func TestReadErrors(t *testing.T) {
 		"out of range":          "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1\n",
 		"zero dimension":        "%%MatrixMarket matrix coordinate real general\n0 0 0\n",
 		"few fields":            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n",
+		// An index past int32 must not wrap: 4294967297 narrowed to int32
+		// before the range check used to read as row 1.
+		"index wraps int32": "%%MatrixMarket matrix coordinate real general\n2 2 1\n4294967297 1 5\n",
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
