@@ -60,22 +60,22 @@ func FuzzRead(f *testing.F) {
 func FuzzReadMatchesReference(f *testing.F) {
 	defer func(old int) { chunkBytes = old }(chunkBytes)
 	chunkBytes = 8
-	const real = "%%MatrixMarket matrix coordinate real general\n"
+	const general = "%%MatrixMarket matrix coordinate real general\n"
 	for _, s := range []string{
-		real + "3 3 3\n1 1 2.5\n3 2 -1\n2 3 4\n",
-		real + "3 3 2\r\n1 1 2.5\r\n3 2 -1\r\n",            // CRLF
-		real + "3 3 2\n1\v1\f2.5\n\f3 2\v-1\v\n",           // \v and \f
-		real + "3 3 2\n1\u00a01 2.5\n3\u00852 -1\n",        // U+00A0, U+0085
-		real + "3 3 2\n % comment\n+1 1 2\n3 +2 1\n",       // signs
-		real + "3 3 1\n-1 1 2\n",                           // negative index
-		real + "3 3 3\n1 1 0x1p-2\n2 2 inf\n3 3 nan\n",     // odd floats
-		real + "3 3 1\n0000000000000000001 1 1\n",          // 19 digits
-		real + "3 3 1\n99999999999999999999 1 1\n",         // overflow
-		real + "3 3 1\n1 4294967297 1\n",                   // int32 wrap
-		real + "3 3 2\n% comment\n\n  \n1 1 1\n%\n2 2 2\n", // comments, blanks
-		real + "3 3 2\n1 1 1\n2 2 2\nnot an entry\n",       // trailing garbage
-		real + "3 3 2\n1 1 1\n2 2 2 extra fields\n9 9 9\n", // extra fields
-		real + "3 3 3\n1 1 1\n2 2 2\n",                     // short
+		general + "3 3 3\n1 1 2.5\n3 2 -1\n2 3 4\n",
+		general + "3 3 2\r\n1 1 2.5\r\n3 2 -1\r\n",            // CRLF
+		general + "3 3 2\n1\v1\f2.5\n\f3 2\v-1\v\n",           // \v and \f
+		general + "3 3 2\n1\u00a01 2.5\n3\u00852 -1\n",        // U+00A0, U+0085
+		general + "3 3 2\n % comment\n+1 1 2\n3 +2 1\n",       // signs
+		general + "3 3 1\n-1 1 2\n",                           // negative index
+		general + "3 3 3\n1 1 0x1p-2\n2 2 inf\n3 3 nan\n",     // odd floats
+		general + "3 3 1\n0000000000000000001 1 1\n",          // 19 digits
+		general + "3 3 1\n99999999999999999999 1 1\n",         // overflow
+		general + "3 3 1\n1 4294967297 1\n",                   // int32 wrap
+		general + "3 3 2\n% comment\n\n  \n1 1 1\n%\n2 2 2\n", // comments, blanks
+		general + "3 3 2\n1 1 1\n2 2 2\nnot an entry\n",       // trailing garbage
+		general + "3 3 2\n1 1 1\n2 2 2 extra fields\n9 9 9\n", // extra fields
+		general + "3 3 3\n1 1 1\n2 2 2\n",                     // short
 		"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 3 junk\n",
 		"%%MatrixMarket matrix coordinate integer skew-symmetric\n4 4 2\n2 1 3\n4 1 -2",
 		"%%MatrixMarket matrix coordinate real symmetric\n1000 1000 50000000\n1 1 1\n",
