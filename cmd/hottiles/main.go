@@ -64,23 +64,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *debugAddr != "" {
-		addr, stop, srvErr := obs.ServeDebug(*debugAddr)
-		if srvErr != nil {
-			fail(srvErr)
-		}
-		defer stop()
-		logger.Info("hottiles.debug.listen", obs.Str("addr", addr))
-	}
-	obs.SetDeepTiming(*tracePath != "" || *timelinePath != "" || *debugAddr != "")
-	var tl *obs.Timeline
-	if *timelinePath != "" || *debugAddr != "" {
-		tl = obs.NewTimeline(0)
-		par.SetTimeline(tl)
-	}
-	// Nil when -trace is absent: every trace call below is then a no-op.
+	// Any observability consumer gets a tracer: its spans are what the
+	// manifest, the timeline's wall-clock rows, and /progress all read.
+	// Without one every trace call below is a no-op.
+	observed := *tracePath != "" || *timelinePath != "" || *debugAddr != ""
+	obs.SetDeepTiming(observed)
 	var tr *obs.Tracer
-	if *tracePath != "" {
+	if observed {
 		tr = obs.New("hottiles")
 		tr.SetConfig("matrix", flag.Arg(0))
 		tr.SetConfig("arch", *archName)
@@ -88,6 +78,19 @@ func main() {
 		tr.SetConfig("kernel", *kernelName)
 		tr.SetConfig("seed", fmt.Sprint(*seed))
 		tr.SetConfig("ops", fmt.Sprint(*opsPerMAC))
+	}
+	var tl *obs.Timeline
+	if *timelinePath != "" {
+		tl = obs.NewTimeline(0)
+		par.SetTimeline(tl)
+	}
+	if *debugAddr != "" {
+		addr, stop, srvErr := obs.ServeDebug(*debugAddr, tr)
+		if srvErr != nil {
+			fail(srvErr)
+		}
+		defer stop()
+		logger.Info("hottiles.debug.listen", obs.Str("addr", addr))
 	}
 
 	a, err := hottiles.ParseArch(*archName)
@@ -303,7 +306,7 @@ func main() {
 		}
 	}
 
-	if tr != nil {
+	if *tracePath != "" {
 		if err := obs.WriteTrace(tr, *tracePath, os.Stdout); err != nil {
 			fail(err)
 		}
@@ -312,7 +315,7 @@ func main() {
 		}
 	}
 	if *timelinePath != "" {
-		if err := obs.WriteTimeline(tl, *timelinePath, os.Stdout); err != nil {
+		if err := obs.WriteTimeline(tl, tr, *timelinePath, os.Stdout); err != nil {
 			fail(err)
 		}
 		if *timelinePath != "-" {

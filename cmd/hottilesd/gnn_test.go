@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,54 @@ func decodeGNN(t *testing.T, body []byte) gnnResponse {
 		t.Fatalf("bad /gnn response %q: %v", body, err)
 	}
 	return g
+}
+
+// planSeries scrapes /metrics and returns every series of a *.plan.* metric
+// (sanitized: "_plan_") with its value.
+func planSeries(t *testing.T, client *http.Client, url string) map[string]string {
+	t.Helper()
+	resp, err := client.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	out := map[string]string{}
+	for _, line := range strings.Split(string(text), "\n") {
+		series, val, ok := strings.Cut(line, " ")
+		if ok && !strings.HasPrefix(line, "#") && strings.Contains(series, "_plan_") {
+			out[series] = val
+		}
+	}
+	return out
+}
+
+// TestGNNBadMatrixLeavesPlanSeries: a /gnn upload that fails to parse is
+// answered 400 through the shared error path, and is counted under the gnn
+// route only — no *.plan.* series moves.
+func TestGNNBadMatrixLeavesPlanSeries(t *testing.T) {
+	s, err := newServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+
+	before := planSeries(t, ts.Client(), ts.URL)
+	if len(before) == 0 {
+		t.Fatal("/metrics has no *.plan.* series to compare")
+	}
+	resp := postGNN(t, ts.Client(), ts.URL, []byte("this is not MatrixMarket"), "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	after := planSeries(t, ts.Client(), ts.URL)
+	for series, val := range before {
+		if after[series] != val {
+			t.Errorf("%s moved from %s to %s on a /gnn failure", series, val, after[series])
+		}
+	}
 }
 
 // TestGNNEndToEnd: one upload, three layers, a complete deterministic

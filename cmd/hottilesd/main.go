@@ -14,7 +14,7 @@
 //	GET  /plan/{hash}  fetch a cached plan by content hash (404 if absent)
 //	GET  /healthz      liveness + store counters, JSON
 //	GET  /metrics      obs registry, Prometheus text exposition
-//	GET  /progress     running fan-out, JSON
+//	GET  /progress     span board, JSON (empty: each request traces itself)
 //	GET  /debug/requests  flight recorder: recent requests + post-mortems
 //	GET  /debug/pprof  standard Go profiling
 //

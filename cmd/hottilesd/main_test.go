@@ -116,9 +116,21 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 	defer metrics.Body.Close()
 	text, _ := io.ReadAll(metrics.Body)
-	for _, want := range []string{"planstore_builds", "hottilesd_plan_requests", "mm_read_ns_count"} {
+	for _, want := range []string{"planstore_builds", "httpd_plan_requests", "mm_read_ns_count"} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %s", want)
+		}
+	}
+	// One exposition never declares a metric twice: Prometheus rejects
+	// such a scrape.
+	declared := map[string]bool{}
+	for _, line := range strings.Split(string(text), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name := strings.Fields(rest)[0]
+			if declared[name] {
+				t.Errorf("/metrics declares %s twice", name)
+			}
+			declared[name] = true
 		}
 	}
 	if resp, err := ts.Client().Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {

@@ -96,9 +96,8 @@ func (w *statusWriter) errText() string {
 }
 
 // observed wraps one route handler in the request-scoped plane: request-ID
-// resolution and echo, a per-request tracer and logger on the context, a
-// timeline slice, RED metrics, the access-log line, and the flight-recorder
-// record. route must be a fixed literal — it names metrics series and
+// resolution and echo, a per-request tracer and logger on the context, RED
+// metrics, the access-log line, and the flight-recorder record. route must be a fixed literal — it names metrics series and
 // flight records.
 func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -118,10 +117,8 @@ func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http
 		ctx = obs.WithLogger(ctx, reqLog)
 		ctx = obs.WithSpan(ctx, tr.Root())
 
-		slice := s.tl.Track("httpd/" + route).Start(id)
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r.WithContext(ctx))
-		slice.End()
 
 		if sw.status == 0 {
 			// Handler wrote nothing: net/http would send 200 on return.
@@ -145,7 +142,7 @@ func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http
 			Remote:    r.RemoteAddr,
 			Err:       sw.errText(),
 		}
-		obs.Flight().Record(rec, tr.SpanTree(), s.tl)
+		obs.Flight().Record(rec, tr.SpanTree())
 
 		lv := obs.LogInfo
 		switch {

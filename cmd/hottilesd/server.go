@@ -19,13 +19,11 @@ import (
 	"repro/internal/planstore"
 )
 
-// Daemon-plane observability, served by the same process on /metrics.
-var (
-	planRequests = obs.NewCounter("hottilesd.plan.requests")
-	planBusy     = obs.NewCounter("hottilesd.plan.busy")
-	planErrors   = obs.NewCounter("hottilesd.plan.errors")
-	planLatency  = obs.NewHistogram("hottilesd.plan.ns")
-)
+// planBusy counts 429 responses. The observed middleware already counts
+// every route's requests, 5xx errors and latency (httpd.<route>.*), and
+// planstore.rejected counts refused builds, but coalesced joiners of a
+// refused build are turned away without a second refusal.
+var planBusy = obs.NewCounter("hottilesd.plan.busy")
 
 // config fixes the daemon's pipeline parameters. The preprocessing
 // configuration is part of every plan's identity: the content hash covers
@@ -57,18 +55,12 @@ type server struct {
 	store *planstore.Store
 	mux   *http.ServeMux
 	log   *obs.Logger
-	// tl records per-request slices; post-mortem captures take its tail.
-	tl *obs.Timeline
 
 	// buildHook, when non-nil, runs at the start of every plan build.
 	// Tests use it to hold builds open so admission-control behavior
 	// (queue overflow, coalescing, drain) is deterministic.
 	buildHook func()
 }
-
-// serverTimelineEvents sizes the daemon's request timeline ring: enough
-// recent slices for a post-mortem tail without unbounded growth.
-const serverTimelineEvents = 4096
 
 // newServer wires the plan routes onto the observability mux, so one
 // listener serves plans, /metrics, /progress and pprof together. Every
@@ -79,8 +71,8 @@ func newServer(cfg config) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &server{cfg: cfg, store: store, log: cfg.log, tl: obs.NewTimeline(serverTimelineEvents)}
-	mux := obs.DebugMux()
+	s := &server{cfg: cfg, store: store, log: cfg.log}
+	mux := obs.DebugMux(nil)
 	mux.HandleFunc("POST /plan", s.observed("plan", redPlan, s.handleBuildPlan))
 	mux.HandleFunc("POST /gnn", s.observed("gnn", redGNN, s.handleGNN))
 	mux.HandleFunc("GET /plan/{hash}", s.observed("planget", redPlanGet, s.handleGetPlan))
@@ -148,8 +140,6 @@ func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 // is refused with 429 and a Retry-After estimate instead of queueing
 // without bound.
 func (s *server) handleBuildPlan(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	planRequests.Inc()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxUpload))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -176,13 +166,11 @@ func (s *server) handleBuildPlan(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Plan-Hash", hash)
 	w.Header().Set("Content-Length", strconv.Itoa(len(plan)))
 	w.Write(plan)
-	planLatency.ObserveSince(t0)
 }
 
 // planError maps a pipeline or admission failure onto its status code and
 // logs it with the request's ID (the logger rides r's context).
 func (s *server) planError(w http.ResponseWriter, r *http.Request, err error) {
-	planErrors.Inc()
 	log := obs.CtxLog(r.Context())
 	switch {
 	case errors.Is(err, planstore.ErrBusy):

@@ -50,7 +50,7 @@ func main() {
 		fail(err)
 	}
 	if *debugAddr != "" {
-		addr, stop, srvErr := obs.ServeDebug(*debugAddr)
+		addr, stop, srvErr := obs.ServeDebug(*debugAddr, nil)
 		if srvErr != nil {
 			fail(srvErr)
 		}

@@ -59,14 +59,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *debugAddr != "" {
-		addr, stop, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fail(err)
-		}
-		defer stop()
-		logger.Info("spmmsim.debug.listen", obs.Str("addr", addr))
-	}
 	par.SetWorkers(*workers)
 	e := experiments.NewEnv(*scale, *seed)
 	names := flag.Args()
@@ -75,20 +67,14 @@ func main() {
 	}
 
 	// Any observability consumer turns on the deep-timing clock reads that
-	// feed the per-tile, per-step, and cache-lookup histograms.
-	obs.SetDeepTiming(*tracePath != "" || *timelinePath != "" || *debugAddr != "")
-
-	var tl *obs.Timeline
-	if *timelinePath != "" || *debugAddr != "" {
-		tl = obs.NewTimeline(0)
-		e.SetTimeline(tl)
-		par.SetTimeline(tl)
-	}
-
-	// A nil tracer keeps the default path free of observability cost; every
-	// trace call below degrades to a nil check.
+	// feed the per-tile, per-step, and cache-lookup histograms, and gets a
+	// tracer: its spans are what the manifest, the timeline's wall-clock
+	// rows, and /progress all read. Without one every span call below
+	// degrades to a nil check.
+	observed := *tracePath != "" || *timelinePath != "" || *debugAddr != ""
+	obs.SetDeepTiming(observed)
 	var tr *obs.Tracer
-	if *tracePath != "" {
+	if observed {
 		tr = obs.New("spmmsim")
 		tr.SetConfig("scale", fmt.Sprint(*scale))
 		tr.SetConfig("seed", fmt.Sprint(*seed))
@@ -96,16 +82,28 @@ func main() {
 		tr.SetConfig("experiments", strings.Join(names, ","))
 		e.SetTracer(tr)
 	}
+	var tl *obs.Timeline
+	if *timelinePath != "" {
+		tl = obs.NewTimeline(0)
+		e.SetTimeline(tl)
+		par.SetTimeline(tl)
+	}
+	if *debugAddr != "" {
+		addr, stop, err := obs.ServeDebug(*debugAddr, tr)
+		if err != nil {
+			fail(err)
+		}
+		defer stop()
+		logger.Info("spmmsim.debug.listen", obs.Str("addr", addr))
+	}
 
 	// The process-root context: everything below the experiments facade
 	// inherits it (the ctxflow analyzer keeps internal code from minting
 	// its own).
 	ctx := context.Background()
 
-	studies := tl.Track("spmmsim/studies")
 	for _, name := range names {
-		r, ok := table[name]
-		if !ok {
+		if _, ok := table[name]; !ok {
 			fmt.Fprintf(os.Stderr, "spmmsim: unknown experiment %q\n", name)
 			usage()
 			os.Exit(2)
@@ -116,18 +114,10 @@ func main() {
 		// the user saw for this experiment.
 		var buf bytes.Buffer
 		var w io.Writer = os.Stdout
-		if tr != nil {
+		if *tracePath != "" {
 			w = io.MultiWriter(os.Stdout, &buf)
 		}
-		doneProgress := obs.StartProgress(name)
-		sp := tr.Root().Start(name)
-		slice := studies.Start(name)
-		err := r(ctx, e, w)
-		slice.End()
-		sp.End()
-		doneProgress()
-		studyWallHist.ObserveSince(start)
-		if err != nil {
+		if err := runStudy(ctx, tr, e, name, w); err != nil {
 			logger.Error("spmmsim.study.fail",
 				obs.Str("study", name), obs.Str("err", err.Error()))
 			os.Exit(1)
@@ -136,7 +126,7 @@ func main() {
 		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	if tr != nil {
+	if *tracePath != "" {
 		if err := obs.WriteTrace(tr, *tracePath, os.Stdout); err != nil {
 			fail(err)
 		}
@@ -145,7 +135,7 @@ func main() {
 		}
 	}
 	if *timelinePath != "" {
-		if err := obs.WriteTimeline(tl, *timelinePath, os.Stdout); err != nil {
+		if err := obs.WriteTimeline(tl, tr, *timelinePath, os.Stdout); err != nil {
 			fail(err)
 		}
 		if *timelinePath != "-" {
@@ -155,6 +145,16 @@ func main() {
 	if err := stopProfiles(); err != nil {
 		fail(err)
 	}
+}
+
+// runStudy runs one experiment under its span on the tracer's root (nil
+// when unobserved), which also rides ctx so the study's own spans (GNN
+// layers, evolve steps, preprocessing stages) nest under it.
+func runStudy(ctx context.Context, tr *obs.Tracer, e *experiments.Env, name string, w io.Writer) error {
+	sp := tr.Root().Start(name)
+	defer sp.End()
+	defer studyWallHist.ObserveSince(time.Now())
+	return table[name](obs.WithSpan(ctx, sp), e, w)
 }
 
 // logger is the CLI's diagnostic stream (stderr; stdout stays the study

@@ -66,23 +66,25 @@ func newTestEnv() *experiments.Env { return experiments.NewEnv(1024, 1) }
 // TestTimelineChromeSchema runs one experiment exactly the way
 // `spmmsim -timeline out.json fig10` does and validates the exported
 // timeline against the Chrome trace-event schema Perfetto consumes: valid
-// JSON, only known phase codes, the two clock processes named, and at
-// least one simulated worker slice.
+// JSON, only known phase codes, the two clock processes named, at least
+// one simulated worker slice, and the study's span as a wall-clock slice.
 func TestTimelineChromeSchema(t *testing.T) {
 	prev := obs.SetDeepTiming(true)
 	defer obs.SetDeepTiming(prev)
 	tl := obs.NewTimeline(0)
+	tr := obs.New("spmmsim")
 	e := newTestEnv()
+	e.SetTracer(tr)
 	e.SetTimeline(tl)
 	par.SetTimeline(tl)
 	defer par.SetTimeline(nil)
 
-	if err := table["fig10"](context.Background(), e, io.Discard); err != nil {
+	if err := runStudy(context.Background(), tr, e, "fig10", io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf); err != nil {
+	if err := tl.WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -101,6 +103,7 @@ func TestTimelineChromeSchema(t *testing.T) {
 	}
 	processes := map[string]bool{}
 	workerSlices := 0
+	studySlice := false
 	for _, ev := range out.TraceEvents {
 		switch ev.Ph {
 		case "X", "i", "C":
@@ -117,11 +120,17 @@ func TestTimelineChromeSchema(t *testing.T) {
 		if ev.Ph == "X" && ev.Pid == 2 {
 			workerSlices++
 		}
+		if ev.Ph == "X" && ev.Pid == 1 && ev.Name == "fig10" {
+			studySlice = true
+		}
 	}
 	if !processes["wall clock"] || !processes["simulated time"] {
 		t.Fatalf("missing process metadata: %v", processes)
 	}
 	if workerSlices == 0 {
 		t.Fatal("no simulated worker slices in the export")
+	}
+	if !studySlice {
+		t.Fatal("no wall-clock slice for the fig10 study span")
 	}
 }

@@ -1,8 +1,8 @@
 // Package metricname polices the obs metrics namespace at compile time.
-// PR 6 had to teach the debug plane's promNamer to suffix colliding
-// Prometheus series with _2 because two dotted registry names can sanitize
-// to the same prom base — a silent rename that breaks dashboards. This
-// pass makes that machinery unreachable:
+// Two dotted registry names can sanitize to the same Prometheus base, and
+// an exposition carrying one series twice is a scrape Prometheus rejects.
+// The debug plane's exposition does no renaming; this pass is what keeps
+// such collisions out:
 //
 //   - every obs.NewCounter/NewGauge/NewHistogram name must be a
 //     compile-time constant — a dynamic name defeats grepping and can
@@ -23,8 +23,8 @@
 //     runs; under unitchecker (one package per process) the check
 //     degrades to per-package.
 //
-// Constant obs Timeline track names (Timeline.TrackID / Timeline.Intern)
-// get a lighter grammar check (slash/underscore/dash separators allowed);
+// Constant obs Timeline track names (Timeline.TrackID) get a lighter
+// grammar check (slash/underscore/dash separators allowed);
 // dynamic track names are legitimate — tracks are per-worker rows, not
 // dashboard series.
 //
@@ -34,8 +34,7 @@
 // a compile-time constant matching the registry grammar, so log lines
 // stay greppable and a dashboard can alias a metric to the log stream
 // that explains it. The obs package itself is exempt — the logger's own
-// plumbing (Debug forwarding to Log, the slog bridge) forwards dynamic
-// messages by design. Registrations of the per-route httpd.* RED metrics
+// plumbing (Debug forwarding to Log) forwards dynamic messages by design. Registrations of the per-route httpd.* RED metrics
 // go through the ordinary duplicate/prom-collision suite check like any
 // other name.
 package metricname
@@ -54,7 +53,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: "obs metric registrations use constant dotted-lowercase names, unique across the suite " +
-		"and collision-free after prom sanitization (promNamer's _2 suffixing must be unreachable)",
+		"and collision-free after prom sanitization (one exposition must never carry a series twice)",
 	Run:   run,
 	Begin: reset,
 }
@@ -104,8 +103,8 @@ func run(pass *analysis.Pass) error {
 	if suite.names == nil {
 		reset() // standalone Run without Begin (unitchecker path)
 	}
-	// The logger's own plumbing forwards dynamic messages (Debug → Log,
-	// the slog bridge); the log-name rules apply to its callers.
+	// The logger's own plumbing forwards dynamic messages (Debug → Log);
+	// the log-name rules apply to its callers.
 	selfObs := analysis.PathHasSuffix(pass.Pkg.Path(), "internal/obs")
 	pass.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -119,7 +118,7 @@ func run(pass *analysis.Pass) error {
 		if suffixes, ok := constructors[f.Name()]; ok && len(call.Args) == 1 {
 			checkRegistration(pass, call, f.Name(), suffixes)
 		}
-		if f.Name() == "TrackID" || f.Name() == "Intern" {
+		if f.Name() == "TrackID" {
 			checkTrack(pass, call)
 		}
 		if !selfObs {
@@ -200,15 +199,15 @@ func checkRegistration(pass *analysis.Pass, call *ast.CallExpr, kind string, suf
 		series := base + suffix
 		if prev, collides := suite.series[series]; collides {
 			pass.Reportf(call.Args[0].Pos(),
-				"metric %q collides with %q (registered at %s) on prom series %q: promNamer would rename it to %s_2",
-				name, prev.name, prev.posn, series, series)
+				"metric %q collides with %q (registered at %s) on prom series %q: the exposition would carry it twice",
+				name, prev.name, prev.posn, series)
 			continue
 		}
 		suite.series[series] = claim{name: name, posn: posn}
 	}
 }
 
-// checkTrack applies the track grammar to constant TrackID/Intern names;
+// checkTrack applies the track grammar to constant TrackID names;
 // dynamic names pass through.
 func checkTrack(pass *analysis.Pass, call *ast.CallExpr) {
 	if len(call.Args) != 1 {

@@ -15,7 +15,7 @@ var (
 	digits  = obs.NewCounter("work.2fast")     // want `does not match the registry grammar`
 	dup     = obs.NewCounter("work.steps")     // want `metric "work.steps" already registered`
 	gmax    = obs.NewGauge("work.queue")       // silent: claims work_queue and work_queue_max
-	clash   = obs.NewCounter("work.queue.max") // want `collides with "work.queue" .* promNamer would rename`
+	clash   = obs.NewCounter("work.queue.max") // want `collides with "work.queue" .* would carry it twice`
 	hsum    = obs.NewHistogram("work.io.ns")   // silent: claims work_io_ns(+suffixes)
 	hclash  = obs.NewCounter("work.io.ns.sum") // want `collides with "work.io.ns"`
 )
@@ -26,7 +26,6 @@ func dynamic(kind string) *obs.Counter {
 
 func tracks(tl *obs.Timeline, slot string) {
 	_ = tl.TrackID("par/pool")    // silent: track grammar allows slashes
-	_ = tl.Intern("fill")         // silent
 	_ = tl.TrackID("par/" + slot) // silent: dynamic track names are allowed
 	_ = tl.TrackID("Par Pool")    // want `does not match the track grammar`
 }

@@ -179,8 +179,6 @@ func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64
 	a.TileH, a.TileW = e.TileSize(), e.TileSize()
 	key := fmt.Sprintf("%s|%s|%s|%g", a.Name, b.Short, strat, opsPerMAC)
 	return e.runs.Get(key, func() (*runOut, error) {
-		done := obs.StartProgress("exec " + key)
-		defer done()
 		t0 := time.Now()
 		defer func() { execWallHist.ObserveSince(t0) }()
 		es, err := e.estimates(&a, b, opsPerMAC)
@@ -255,8 +253,6 @@ func (e *Env) execHeuristic(a arch.Arch, b gen.Benchmark, h partition.Heuristic)
 	a.TileH, a.TileW = e.TileSize(), e.TileSize()
 	key := fmt.Sprintf("%s|%s|heur:%v", a.Name, b.Short, h)
 	return e.runs.Get(key, func() (*runOut, error) {
-		done := obs.StartProgress("exec " + key)
-		defer done()
 		t0 := time.Now()
 		defer func() { execWallHist.ObserveSince(t0) }()
 		es, err := e.estimates(&a, b, 2)

@@ -1,12 +1,13 @@
 // Live debug endpoint: an opt-in HTTP server (the CLIs' -debug-addr flag)
 // exposing the standard Go diagnostics (net/http/pprof, expvar) next to
 // this package's own state — the full metric registry in Prometheus text
-// exposition at /metrics and the running study fan-out at /progress. The
-// mux is built separately from the server so tests drive it through
-// httptest without binding a port.
+// exposition at /metrics and, at /progress, a view of the run's tracer:
+// its open and recently ended spans. The mux is built separately from the
+// server so tests drive it through httptest without binding a port.
 package obs
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"expvar"
@@ -45,62 +46,21 @@ func sanitizeMetricName(name string) string {
 	return b.String()
 }
 
-// promNamer assigns each registry name a unique Prometheus name.
-// Sanitization is lossy ("sim.engine.steps" and "sim_engine_steps" both map
-// to "sim_engine_steps"), and a collided exposition carries duplicate # TYPE
-// lines and duplicate series, which Prometheus rejects as a malformed
-// scrape. The namer claims every series a metric will emit (the base name
-// plus kind-specific companions like a gauge's _max or a histogram's
-// _bucket/_sum/_count) and resolves collisions by suffixing _2, _3, ... —
-// deterministic because metrics are assigned in a fixed order (counters,
-// gauges, histograms; each sorted by registry name).
-type promNamer struct {
-	taken map[string]bool
-}
-
-// assign returns the unique exposition name for a registry name, reserving
-// name+suffix for every companion series the metric emits.
-func (p *promNamer) assign(name string, companions ...string) string {
-	if p.taken == nil {
-		p.taken = map[string]bool{}
-	}
-	base := sanitizeMetricName(name)
-	for n := 1; ; n++ {
-		cand := base
-		if n > 1 {
-			cand = fmt.Sprintf("%s_%d", base, n)
-		}
-		free := !p.taken[cand]
-		for _, c := range companions {
-			free = free && !p.taken[cand+c]
-		}
-		if !free {
-			continue
-		}
-		p.taken[cand] = true
-		for _, c := range companions {
-			p.taken[cand+c] = true
-		}
-		return cand
-	}
-}
-
 // WriteMetricsText renders the view in the Prometheus text exposition
 // format (version 0.0.4): counters, gauges (level plus a companion _max
 // gauge for the high-water mark), and histograms with cumulative _bucket
 // series, _sum, and _count. Output is sorted by metric name so scrapes
-// diff cleanly, and distinct registry names that sanitize to the same
-// Prometheus name are disambiguated through promNamer so one exposition
-// never carries duplicate series.
+// diff cleanly. Distinct registry names never sanitize to one Prometheus
+// series: the metricname analyzer rejects such collisions, companions
+// included, at build time.
 func (v *RegistryView) WriteMetricsText(w io.Writer) error {
-	var namer promNamer
 	names := make([]string, 0, len(v.Counters))
 	for name := range v.Counters {
 		names = append(names, name)
 	}
 	slices.Sort(names)
 	for _, name := range names {
-		p := namer.assign(name)
+		p := sanitizeMetricName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", p, p, v.Counters[name]); err != nil {
 			return err
 		}
@@ -113,7 +73,7 @@ func (v *RegistryView) WriteMetricsText(w io.Writer) error {
 	slices.Sort(names)
 	for _, name := range names {
 		g := v.Gauges[name]
-		p := namer.assign(name, "_max")
+		p := sanitizeMetricName(name)
 		_, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n# TYPE %s_max gauge\n%s_max %d\n",
 			p, p, g.Value, p, p, g.Max)
 		if err != nil {
@@ -128,7 +88,7 @@ func (v *RegistryView) WriteMetricsText(w io.Writer) error {
 	slices.Sort(names)
 	for _, name := range names {
 		h := v.Histograms[name]
-		p := namer.assign(name, "_bucket", "_sum", "_count")
+		p := sanitizeMetricName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", p); err != nil {
 			return err
 		}
@@ -151,16 +111,75 @@ const debugIndex = `<html><head><title>hottiles debug</title></head><body>
 <h1>hottiles debug endpoint</h1>
 <ul>
 <li><a href="/metrics">/metrics</a> — obs registry, Prometheus text exposition</li>
-<li><a href="/progress">/progress</a> — running study fan-out, JSON</li>
+<li><a href="/progress">/progress</a> — open and recently ended spans, JSON</li>
 <li><a href="/debug/requests">/debug/requests</a> — flight recorder: recent requests + post-mortems, JSON</li>
 <li><a href="/debug/vars">/debug/vars</a> — expvar (memstats, cmdline)</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — CPU, heap, goroutine, block profiles</li>
 </ul></body></html>
 `
 
-// DebugMux builds the debug endpoint's routing table. Tests wrap it in
-// httptest.Server; ServeDebug binds it to a real listener.
-func DebugMux() *http.ServeMux {
+// progressRecent bounds the recently ended spans /progress lists.
+const progressRecent = 32
+
+// RunningItem is one open span of a ProgressView.
+type RunningItem struct {
+	Name      string  `json:"name"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+}
+
+// FinishedItem is one recently ended span of a ProgressView.
+type FinishedItem struct {
+	Name string  `json:"name"`
+	MS   float64 `json:"ms"`
+}
+
+// ProgressView is the JSON shape /progress serves.
+type ProgressView struct {
+	Running   []RunningItem  `json:"running"`
+	Recent    []FinishedItem `json:"recent,omitempty"`
+	Completed int            `json:"completed"`
+}
+
+// progress reads the work in flight off the span tree: open spans longest-
+// running first, the last few ended spans in end order, and how many have
+// ended. The root and the phases group work rather than being work, so
+// they are left out. Items are named by their path below the root
+// ("exec/SPADE|pap|HotTiles|2"). A nil tracer gives an empty board.
+func (t *Tracer) progress() ProgressView {
+	v := ProgressView{Running: []RunningItem{}}
+	var done []interval
+	for _, iv := range t.intervals() {
+		switch {
+		case iv.group:
+		case iv.open:
+			v.Running = append(v.Running, RunningItem{Name: iv.path, ElapsedMS: ms(iv.dur)})
+		default:
+			done = append(done, iv)
+		}
+	}
+	slices.SortFunc(v.Running, func(a, b RunningItem) int {
+		if a.ElapsedMS != b.ElapsedMS {
+			return cmp.Compare(b.ElapsedMS, a.ElapsedMS)
+		}
+		return cmp.Compare(a.Name, b.Name)
+	})
+	slices.SortStableFunc(done, func(a, b interval) int {
+		return a.start.Add(a.dur).Compare(b.start.Add(b.dur))
+	})
+	v.Completed = len(done)
+	for _, iv := range done[max(0, len(done)-progressRecent):] {
+		v.Recent = append(v.Recent, FinishedItem{Name: iv.path, MS: ms(iv.dur)})
+	}
+	return v
+}
+
+// ms renders a duration in fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// DebugMux builds the debug endpoint's routing table; /progress reads tr,
+// which may be nil. Tests wrap it in httptest.Server; ServeDebug binds it
+// to a real listener.
+func DebugMux(tr *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -175,22 +194,12 @@ func DebugMux() *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
 		// Resolved per request: ConfigureFlight may swap the recorder after
 		// the mux was built.
-		if err := enc.Encode(Flight().Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveJSON(w, Flight().Snapshot())
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(ProgressSnapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveJSON(w, tr.progress())
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -201,6 +210,16 @@ func DebugMux() *http.ServeMux {
 		io.WriteString(w, debugIndex)
 	})
 	return mux
+}
+
+// serveJSON writes v as an indented JSON response.
+func serveJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // debugDrainTimeout bounds how long ServeDebug's stop function waits for
@@ -223,19 +242,20 @@ func GracefulStop(srv *http.Server, drain time.Duration) error {
 	return nil
 }
 
-// ServeDebug starts the debug endpoint on addr (e.g. ":6060"). It returns
+// ServeDebug starts the debug endpoint on addr (e.g. ":6060"), its
+// /progress reading tr (nil serves an empty board). It returns
 // the bound address (useful when addr requested port 0) and a stop function
 // that drains in-flight requests (a scrape racing shutdown still gets its
 // full body) before closing the listener and any remaining connections. The
 // accept loop is the one goroutine the repository runs outside the par
 // pool: it must outlive any single fan-out and terminate with the
 // listener, which the pool's bounded-task shape cannot express.
-func ServeDebug(addr string) (string, func(), error) {
+func ServeDebug(addr string, tr *Tracer) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: debug endpoint: %w", err)
 	}
-	srv := &http.Server{Handler: DebugMux()}
+	srv := &http.Server{Handler: DebugMux(tr)}
 	go srv.Serve(ln)
 	return ln.Addr().String(), func() { GracefulStop(srv, debugDrainTimeout) }, nil
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -28,103 +27,6 @@ func TestSanitizeMetricName(t *testing.T) {
 	}
 }
 
-// parseExposition splits a Prometheus text exposition into its # TYPE
-// declarations and its series names, failing the test on any line that is
-// neither.
-func parseExposition(t *testing.T, body string) (types []string, series []string) {
-	t.Helper()
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			types = append(types, strings.Fields(rest)[0])
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-		name := fields[0]
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		series = append(series, name)
-	}
-	return types, series
-}
-
-// TestWriteMetricsTextCollisions is the regression test for the sanitizer
-// collision bug: "sim.engine.steps" and "sim_engine_steps" both sanitize to
-// "sim_engine_steps", and the pre-fix exposition emitted two # TYPE lines
-// and two series under that one name — a scrape Prometheus rejects as
-// malformed. Collided registry names must now serve under distinct,
-// deterministic exposition names, companions (_max, _bucket, _sum, _count)
-// included.
-func TestWriteMetricsTextCollisions(t *testing.T) {
-	v := &RegistryView{
-		Counters: map[string]int64{
-			"sim.engine.steps": 3,
-			"sim_engine_steps": 4,
-			"queue.depth.max":  9, // collides with the gauge's _max companion
-		},
-		Gauges: map[string]GaugeSnapshot{
-			"queue.depth": {Value: 1, Max: 2},
-			"queue_depth": {Value: 5, Max: 6},
-		},
-		Histograms: map[string]HistogramSnapshot{
-			"req.lat.ns": {Count: 1, SumNS: 10, Buckets: []HistBucket{{UpperNS: 15, Count: 1}}},
-			"req_lat.ns": {Count: 2, SumNS: 20, Buckets: []HistBucket{{UpperNS: 31, Count: 2}}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := v.WriteMetricsText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.String()
-
-	types, series := parseExposition(t, body)
-	seenType := map[string]bool{}
-	for _, name := range types {
-		if seenType[name] {
-			t.Errorf("duplicate # TYPE line for %q", name)
-		}
-		seenType[name] = true
-	}
-	// Within one # TYPE block repeated series names are legitimate only for
-	// histogram buckets; here every histogram has distinct buckets, so a
-	// duplicated (name, kind) pair can only come from a collision.
-	seenSeries := map[string]int{}
-	for _, name := range series {
-		seenSeries[name]++
-	}
-	for name, n := range seenSeries {
-		if n > 1 && !strings.HasSuffix(name, "_bucket") {
-			t.Errorf("series %q emitted %d times", name, n)
-		}
-	}
-
-	// Every registry value must still be present under its deterministic
-	// name: the counter claims queue_depth_max, which pushes both gauges
-	// (whose _max companion would collide) onto suffixed names.
-	for _, want := range []string{
-		"sim_engine_steps 3", "sim_engine_steps_2 4",
-		"queue_depth_max 9",
-		"queue_depth_2 1", "queue_depth_2_max 2",
-		"queue_depth_3 5", "queue_depth_3_max 6",
-		"req_lat_ns_sum 10", "req_lat_ns_2_sum 20",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition lost a collided metric: missing %q in\n%s", want, body)
-		}
-	}
-	// Determinism: two renders of the same view are identical.
-	var buf2 bytes.Buffer
-	if err := v.WriteMetricsText(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != body {
-		t.Error("collision resolution is not deterministic")
-	}
-}
-
 // TestMetricsEndpoint asserts the acceptance criterion: /metrics returns
 // every registered metric in the Prometheus text exposition format.
 func TestMetricsEndpoint(t *testing.T) {
@@ -132,7 +34,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	NewGauge("debugtest.depth").Set(3)
 	NewHistogram("debugtest.lat.ns").Observe(1500)
 
-	srv := httptest.NewServer(DebugMux())
+	srv := httptest.NewServer(DebugMux(nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -154,9 +56,12 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Every metric the process has registered — whatever other tests or
 	// init functions created — must appear, sanitized, in the exposition.
-	for _, name := range MetricNames() {
-		if !strings.Contains(body, sanitizeMetricName(name)) {
-			t.Errorf("/metrics missing registered metric %q", name)
+	v := RegistrySnapshot()
+	for _, names := range [][]string{mapKeys(v.Counters), mapKeys(v.Gauges), mapKeys(v.Histograms)} {
+		for _, name := range names {
+			if !strings.Contains(body, sanitizeMetricName(name)) {
+				t.Errorf("/metrics missing registered metric %q", name)
+			}
 		}
 	}
 
@@ -178,11 +83,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// mapKeys lists a map's keys.
+func mapKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+
 func TestProgressEndpoint(t *testing.T) {
-	srv := httptest.NewServer(DebugMux())
+	tr := New("debugtest")
+	srv := httptest.NewServer(DebugMux(tr))
 	defer srv.Close()
 
-	done := StartProgress("debugtest-study")
+	sp := tr.Root().Start("debugtest-study")
 	resp, err := http.Get(srv.URL + "/progress")
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +117,8 @@ func TestProgressEndpoint(t *testing.T) {
 	if !found {
 		t.Fatalf("/progress does not list the running study: %+v", view)
 	}
-	done()
-	done() // idempotent
+	sp.End()
+	sp.End() // idempotent
 
 	resp, err = http.Get(srv.URL + "/progress")
 	if err != nil {
@@ -225,13 +140,13 @@ func TestProgressEndpoint(t *testing.T) {
 			recent = true
 		}
 	}
-	if !recent || view.Completed < 1 {
+	if !recent || view.Completed != 1 {
 		t.Fatalf("finished study not in recent list: %+v", view)
 	}
 }
 
 func TestDebugIndexAndVars(t *testing.T) {
-	srv := httptest.NewServer(DebugMux())
+	srv := httptest.NewServer(DebugMux(nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/")
@@ -269,7 +184,7 @@ func TestDebugIndexAndVars(t *testing.T) {
 }
 
 func TestServeDebug(t *testing.T) {
-	addr, stop, err := ServeDebug("127.0.0.1:0")
+	addr, stop, err := ServeDebug("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,12 +202,12 @@ func TestServeDebug(t *testing.T) {
 	}
 
 	// A second listener on the same port must surface the bind error.
-	addr2, stop2, err := ServeDebug("127.0.0.1:0")
+	addr2, stop2, err := ServeDebug("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop2()
-	if _, _, err := ServeDebug(addr2); err == nil {
+	if _, _, err := ServeDebug(addr2, nil); err == nil {
 		t.Fatal("double bind did not error")
 	}
 }
@@ -383,7 +298,8 @@ func TestGracefulStopDeadline(t *testing.T) {
 // Prometheus scraper plus a watching user produce mid-run. Run under
 // `make race`, this pins the endpoint's thread safety.
 func TestDebugServerConcurrentScrapes(t *testing.T) {
-	srv := httptest.NewServer(DebugMux())
+	tr := New("scrape")
+	srv := httptest.NewServer(DebugMux(tr))
 	defer srv.Close()
 
 	hits := NewCounter("debugtest.scrape.hits")
@@ -401,8 +317,9 @@ func TestDebugServerConcurrentScrapes(t *testing.T) {
 			}
 			hits.Inc()
 			lat.Observe(int64(i%1000 + 1))
-			done := StartProgress("scrape-work")
-			done()
+			if i < 2000 { // bound the tree each /progress read walks
+				tr.Root().Start("scrape-work").End()
+			}
 		}
 	}()
 

@@ -1,11 +1,12 @@
 // Flight recorder: a fixed-capacity ring of per-request records for the
 // daemon (DESIGN.md §18). Every request leaves a compact record (route, ID,
 // status, latency, bytes, phase timings derived from its span tree); slow
-// or 5xx requests are additionally captured whole — full span tree plus a
-// timeline slice — in a separate small post-mortem ring, served as JSON at
-// /debug/requests and dumpable on SIGQUIT. The rings are bounded and
-// overwrite oldest-first, so the recorder's memory is constant no matter
-// how long the daemon runs.
+// or 5xx requests are additionally captured with their full span tree in a
+// separate small post-mortem ring, served as JSON at /debug/requests and
+// dumpable on SIGQUIT. What ran alongside a captured request is the compact
+// ring's neighbouring records, each with its Start and LatencyNS. The rings
+// are bounded and overwrite oldest-first, so the recorder's memory is
+// constant no matter how long the daemon runs.
 package obs
 
 import (
@@ -39,41 +40,31 @@ type RequestRecord struct {
 }
 
 // PostmortemRecord is the full capture of one bad request: the compact
-// record plus why it was captured, its span tree, and the tail of the
-// daemon timeline at completion.
+// record plus why it was captured and its span tree.
 type PostmortemRecord struct {
 	RequestRecord
-	Reason   string      `json:"reason"` // "error", "slow", or "error,slow"
-	Spans    *SpanRecord `json:"spans,omitempty"`
-	Timeline []EventView `json:"timeline,omitempty"`
+	Reason string      `json:"reason"` // "error", "slow", or "error,slow"
+	Spans  *SpanRecord `json:"spans,omitempty"`
 }
 
-// FlightConfig sizes a FlightRecorder. Zero values select the defaults.
+// FlightConfig configures a FlightRecorder.
 type FlightConfig struct {
-	// Capacity is the compact ring's size (default 256).
-	Capacity int
-	// PostCapacity is the post-mortem ring's size (default 16).
-	PostCapacity int
 	// SlowThreshold marks requests at or above this latency for post-mortem
-	// capture (default 1s; negative disables slow capture).
+	// capture (0 selects 1s; negative disables slow capture).
 	SlowThreshold time.Duration
-	// PostTimelineEvents bounds the timeline tail captured per post-mortem
-	// (default 64).
-	PostTimelineEvents int
 }
 
+// Ring sizes (compact and post-mortem) and the default slow threshold.
 const (
-	defaultFlightCapacity     = 256
-	defaultPostCapacity       = 16
-	defaultSlowThreshold      = time.Second
-	defaultPostTimelineEvents = 64
+	flightCapacity       = 256
+	postCapacity         = 16
+	defaultSlowThreshold = time.Second
 )
 
 // FlightRecorder holds the two request rings. Build with NewFlightRecorder;
 // a nil recorder accepts every method as a no-op.
 type FlightRecorder struct {
 	slow    time.Duration
-	tailEvs int
 	mu      sync.Mutex
 	recent  []RequestRecord // ring; recent[total%cap] is the next slot
 	total   uint64
@@ -81,25 +72,15 @@ type FlightRecorder struct {
 	postTot uint64
 }
 
-// NewFlightRecorder builds a recorder from cfg (zero fields get defaults).
+// NewFlightRecorder builds a recorder from cfg.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = defaultFlightCapacity
-	}
-	if cfg.PostCapacity <= 0 {
-		cfg.PostCapacity = defaultPostCapacity
-	}
 	if cfg.SlowThreshold == 0 {
 		cfg.SlowThreshold = defaultSlowThreshold
 	}
-	if cfg.PostTimelineEvents <= 0 {
-		cfg.PostTimelineEvents = defaultPostTimelineEvents
-	}
 	return &FlightRecorder{
-		slow:    cfg.SlowThreshold,
-		tailEvs: cfg.PostTimelineEvents,
-		recent:  make([]RequestRecord, 0, cfg.Capacity),
-		post:    make([]PostmortemRecord, 0, cfg.PostCapacity),
+		slow:   cfg.SlowThreshold,
+		recent: make([]RequestRecord, 0, flightCapacity),
+		post:   make([]PostmortemRecord, 0, postCapacity),
 	}
 }
 
@@ -107,10 +88,10 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 var flightCaptured = NewCounter("obs.flight.captured")
 
 // Record files one completed request. When rec.Phases is empty it is
-// derived from the span tree's top-level children. spans and tl are only
-// retained when the request qualifies for post-mortem capture (status ≥ 500
-// or latency ≥ the slow threshold); both may be nil.
-func (f *FlightRecorder) Record(rec RequestRecord, spans *SpanRecord, tl *Timeline) {
+// derived from the span tree's top-level children. spans is only retained
+// when the request qualifies for post-mortem capture (status ≥ 500 or
+// latency ≥ the slow threshold); it may be nil.
+func (f *FlightRecorder) Record(rec RequestRecord, spans *SpanRecord) {
 	if f == nil {
 		return
 	}
@@ -133,12 +114,7 @@ func (f *FlightRecorder) Record(rec RequestRecord, spans *SpanRecord, tl *Timeli
 	var pm PostmortemRecord
 	if reason != "" {
 		flightCaptured.Inc()
-		pm = PostmortemRecord{
-			RequestRecord: rec,
-			Reason:        reason,
-			Spans:         spans,
-			Timeline:      tl.TailView(f.tailEvs),
-		}
+		pm = PostmortemRecord{RequestRecord: rec, Reason: reason, Spans: spans}
 	}
 	f.mu.Lock()
 	if len(f.recent) < cap(f.recent) {
@@ -236,63 +212,4 @@ func ConfigureFlight(cfg FlightConfig) *FlightRecorder {
 	f := NewFlightRecorder(cfg)
 	flight.Store(f)
 	return f
-}
-
-// EventView is one timeline event with its interned names resolved, the
-// shape post-mortems and JSON consumers see.
-type EventView struct {
-	Track string  `json:"track"`
-	Name  string  `json:"name,omitempty"`
-	Kind  string  `json:"kind"`
-	TSNS  int64   `json:"ts_ns"`
-	DurNS int64   `json:"dur_ns,omitempty"`
-	Arg   int64   `json:"arg,omitempty"`
-	Value float64 `json:"value,omitempty"`
-}
-
-// kindNames spells EventKind for EventView.
-var kindNames = [...]string{
-	EvSlice:       "slice",
-	EvWorkerRun:   "worker.run",
-	EvWorkerIdle:  "worker.idle",
-	EvGrant:       "grant",
-	EvTaskEnqueue: "task.enqueue",
-	EvTaskRun:     "task.run",
-	EvQueueDepth:  "queue.depth",
-}
-
-// TailView returns the newest n events with names resolved, oldest-first.
-func (t *Timeline) TailView(n int) []EventView {
-	if t == nil || n <= 0 {
-		return nil
-	}
-	evs := t.Events()
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]EventView, 0, len(evs))
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ev := range evs {
-		kind := "?"
-		if int(ev.Kind) < len(kindNames) {
-			kind = kindNames[ev.Kind]
-		}
-		v := EventView{
-			Track: t.trackName(ev.Track),
-			Kind:  kind,
-			TSNS:  ev.TS,
-			DurNS: ev.Dur,
-			Arg:   ev.Arg,
-			Value: ev.Value,
-		}
-		if ev.Kind == EvSlice {
-			v.Name = t.eventName(ev.Name)
-		}
-		out = append(out, v)
-	}
-	return out
 }

@@ -10,21 +10,25 @@ import (
 )
 
 func TestFlightRecorderRing(t *testing.T) {
-	f := NewFlightRecorder(FlightConfig{Capacity: 4, SlowThreshold: -1})
-	for i := 0; i < 6; i++ {
-		f.Record(RequestRecord{ID: fmt.Sprintf("r%d", i), Route: "plan", Status: 200}, nil, nil)
+	f := NewFlightRecorder(FlightConfig{SlowThreshold: -1})
+	const n = flightCapacity + 2
+	for i := 0; i < n; i++ {
+		f.Record(RequestRecord{ID: fmt.Sprintf("r%d", i), Route: "plan", Status: 200}, nil)
 	}
 	v := f.Snapshot()
-	if v.Total != 6 {
-		t.Errorf("Total = %d, want 6", v.Total)
+	if v.Total != n {
+		t.Errorf("Total = %d, want %d", v.Total, n)
 	}
-	if len(v.Recent) != 4 {
-		t.Fatalf("Recent has %d entries, want 4", len(v.Recent))
+	if len(v.Recent) != flightCapacity {
+		t.Fatalf("Recent has %d entries, want %d", len(v.Recent), flightCapacity)
 	}
-	for i, want := range []string{"r5", "r4", "r3", "r2"} {
+	for i, want := range []string{fmt.Sprintf("r%d", n-1), fmt.Sprintf("r%d", n-2)} {
 		if v.Recent[i].ID != want {
 			t.Errorf("Recent[%d] = %q, want %q (newest first)", i, v.Recent[i].ID, want)
 		}
+	}
+	if last := v.Recent[flightCapacity-1].ID; last != "r2" {
+		t.Errorf("oldest retained = %q, want r2", last)
 	}
 	if len(v.Postmortem) != 0 || v.Captured != 0 {
 		t.Errorf("slow capture disabled but postmortem ring has %d/%d", len(v.Postmortem), v.Captured)
@@ -44,16 +48,12 @@ func buildSpanTree() *SpanRecord {
 
 func TestFlightPostmortemCapture(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{SlowThreshold: 10 * time.Millisecond})
-	tl := NewTimeline(16)
-	ts := tl.Track("httpd/plan").Start("r-slow")
-	ts.End()
-
-	f.Record(RequestRecord{ID: "r-ok", Status: 200, LatencyNS: 1000}, buildSpanTree(), tl)
-	f.Record(RequestRecord{ID: "r-5xx", Status: 503, LatencyNS: 1000}, buildSpanTree(), tl)
+	f.Record(RequestRecord{ID: "r-ok", Status: 200, LatencyNS: 1000}, buildSpanTree())
+	f.Record(RequestRecord{ID: "r-5xx", Status: 503, LatencyNS: 1000}, buildSpanTree())
 	f.Record(RequestRecord{ID: "r-slow", Status: 200,
-		LatencyNS: (20 * time.Millisecond).Nanoseconds()}, buildSpanTree(), tl)
+		LatencyNS: (20 * time.Millisecond).Nanoseconds()}, buildSpanTree())
 	f.Record(RequestRecord{ID: "r-both", Status: 500,
-		LatencyNS: (20 * time.Millisecond).Nanoseconds()}, buildSpanTree(), tl)
+		LatencyNS: (20 * time.Millisecond).Nanoseconds()}, buildSpanTree())
 
 	v := f.Snapshot()
 	if v.Total != 4 || v.Captured != 3 {
@@ -75,9 +75,6 @@ func TestFlightPostmortemCapture(t *testing.T) {
 		if len(pm.Phases) != 2 || pm.Phases[0].Name != "hotcore.scan" {
 			t.Errorf("%s: phases = %v, want the span tree's top level", pm.ID, pm.Phases)
 		}
-		if len(pm.Timeline) == 0 {
-			t.Errorf("%s: postmortem lost its timeline slice", pm.ID)
-		}
 	}
 	// The compact ring records everything, captured or not.
 	for _, rec := range v.Recent {
@@ -89,7 +86,7 @@ func TestFlightPostmortemCapture(t *testing.T) {
 
 func TestFlightNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	f.Record(RequestRecord{ID: "x"}, nil, nil)
+	f.Record(RequestRecord{ID: "x"}, nil)
 	if v := f.Snapshot(); v.Total != 0 {
 		t.Errorf("nil recorder snapshot = %+v", v)
 	}
@@ -97,7 +94,7 @@ func TestFlightNilSafe(t *testing.T) {
 
 func TestWritePostmortem(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{SlowThreshold: -1})
-	f.Record(RequestRecord{ID: "bad", Status: 502}, buildSpanTree(), nil)
+	f.Record(RequestRecord{ID: "bad", Status: 502}, buildSpanTree())
 	var buf bytes.Buffer
 	if err := f.WritePostmortem(&buf); err != nil {
 		t.Fatalf("WritePostmortem: %v", err)
@@ -115,10 +112,10 @@ func TestWritePostmortem(t *testing.T) {
 }
 
 func TestDebugRequestsRoute(t *testing.T) {
-	f := ConfigureFlight(FlightConfig{Capacity: 8})
-	f.Record(RequestRecord{ID: "via-http", Route: "plan", Status: 200}, nil, nil)
+	f := ConfigureFlight(FlightConfig{})
+	f.Record(RequestRecord{ID: "via-http", Route: "plan", Status: 200}, nil)
 
-	srv := httptest.NewServer(DebugMux())
+	srv := httptest.NewServer(DebugMux(nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/requests")
 	if err != nil {
@@ -153,35 +150,6 @@ func TestDebugRequestsRoute(t *testing.T) {
 	}
 	if v2.Total != 0 {
 		t.Errorf("after reconfigure Total = %d, want 0", v2.Total)
-	}
-}
-
-func TestTimelineTailView(t *testing.T) {
-	tl := NewTimeline(8)
-	for i := 0; i < 3; i++ {
-		s := tl.Track("httpd/plan").Start(fmt.Sprintf("req%d", i))
-		s.End()
-	}
-	tl.Append(Event{Kind: EvQueueDepth, Track: tl.TrackID("pool"), Name: -1, Value: 2})
-
-	all := tl.TailView(10)
-	if len(all) != 4 {
-		t.Fatalf("TailView(10) = %d events, want 4", len(all))
-	}
-	if all[0].Track != "httpd/plan" || all[0].Name != "req0" || all[0].Kind != "slice" {
-		t.Errorf("first event = %+v", all[0])
-	}
-	if all[3].Kind != "queue.depth" || all[3].Value != 2 {
-		t.Errorf("last event = %+v", all[3])
-	}
-
-	tail := tl.TailView(2)
-	if len(tail) != 2 || tail[0].Name != "req2" {
-		t.Errorf("TailView(2) = %+v, want the newest two", tail)
-	}
-	var nilTL *Timeline
-	if nilTL.TailView(4) != nil {
-		t.Errorf("nil timeline TailView should be nil")
 	}
 }
 

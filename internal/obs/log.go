@@ -3,9 +3,7 @@
 // (Str/Int/F64) so instrumented code annotates spans and log lines with one
 // idiom, serializes concurrent writers through one mutex so multi-goroutine
 // shutdown output stays line-atomic and ordered, and rate-bounds sub-Warn
-// records so a hot loop logging per request cannot melt the daemon. A
-// log/slog bridge (Logger.Handler) lets stdlib-flavored code join the same
-// stream.
+// records so a hot loop logging per request cannot melt the daemon.
 //
 // Like the rest of the package, a nil *Logger accepts every method as a
 // no-op, so library code logs unconditionally and pays a nil check when the
@@ -13,19 +11,16 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"log/slog"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // LogLevel orders log records by severity. The numeric values match
-// log/slog's levels so the Handler bridge is a plain cast.
+// log/slog's levels.
 type LogLevel int
 
 const (
@@ -134,13 +129,13 @@ func (s *logSampler) allow(now time.Time) (ok bool, droppedPrev int64) {
 
 // Logger emits leveled, structured records. Build with NewLogger; derive
 // request-scoped loggers with With. All clones share the writer, its mutex,
-// the level, and the sampler, so one process-wide rate bound and one total
-// order of lines hold across every derived logger.
+// and the sampler, so one process-wide rate bound and one total order of
+// lines hold across every derived logger.
 type Logger struct {
 	mu      *sync.Mutex
 	w       io.Writer
 	json    bool
-	level   *atomic.Int32
+	level   LogLevel
 	sampler *logSampler
 	base    []Attr
 }
@@ -151,9 +146,8 @@ func NewLogger(w io.Writer, o LogOptions) *Logger {
 		mu:    &sync.Mutex{},
 		w:     w,
 		json:  o.Format == "json",
-		level: &atomic.Int32{},
+		level: o.Level,
 	}
-	l.level.Store(int32(o.Level))
 	if o.SampleRate > 0 {
 		l.sampler = &logSampler{max: o.SampleRate}
 	}
@@ -178,16 +172,7 @@ func (l *Logger) Level() LogLevel {
 	if l == nil {
 		return LogError + 1
 	}
-	return LogLevel(l.level.Load())
-}
-
-// SetLevel changes the minimum severity for this logger and every clone
-// derived from the same root.
-func (l *Logger) SetLevel(lv LogLevel) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(lv))
+	return l.level
 }
 
 // Enabled reports whether records at lv would be emitted.
@@ -322,52 +307,4 @@ func appendJSONString(b []byte, s string) []byte {
 		}
 	}
 	return append(b, '"')
-}
-
-// Handler returns a log/slog handler feeding this logger, so stdlib-style
-// code (slog.New(l.Handler())) joins the same serialized stream. Groups
-// flatten into dotted key prefixes; a request ID on the context becomes a
-// "req" attr.
-func (l *Logger) Handler() slog.Handler {
-	return slogBridge{l: l}
-}
-
-type slogBridge struct {
-	l      *Logger
-	prefix string
-	attrs  []Attr
-}
-
-func (h slogBridge) Enabled(_ context.Context, lv slog.Level) bool {
-	return h.l.Enabled(LogLevel(lv))
-}
-
-func (h slogBridge) Handle(ctx context.Context, r slog.Record) error {
-	attrs := make([]Attr, 0, len(h.attrs)+r.NumAttrs()+1)
-	if id := RequestID(ctx); id != "" {
-		attrs = append(attrs, Attr{Key: "req", Val: id})
-	}
-	attrs = append(attrs, h.attrs...)
-	r.Attrs(func(a slog.Attr) bool {
-		attrs = append(attrs, Attr{Key: h.prefix + a.Key, Val: a.Value.String()})
-		return true
-	})
-	h.l.Log(LogLevel(r.Level), r.Message, attrs...)
-	return nil
-}
-
-func (h slogBridge) WithAttrs(as []slog.Attr) slog.Handler {
-	attrs := make([]Attr, 0, len(h.attrs)+len(as))
-	attrs = append(attrs, h.attrs...)
-	for _, a := range as {
-		attrs = append(attrs, Attr{Key: h.prefix + a.Key, Val: a.Value.String()})
-	}
-	return slogBridge{l: h.l, prefix: h.prefix, attrs: attrs}
-}
-
-func (h slogBridge) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	return slogBridge{l: h.l, prefix: h.prefix + name + ".", attrs: h.attrs}
 }

@@ -140,28 +140,6 @@ func (t *Tracer) WriteManifest(w io.Writer) error {
 	return enc.Encode(t.Manifest())
 }
 
-// ReadManifest parses a manifest previously written by WriteManifest.
-func ReadManifest(r io.Reader) (*Manifest, error) {
-	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("obs: bad manifest: %w", err)
-	}
-	if m.Spans == nil {
-		return nil, fmt.Errorf("obs: manifest has no span tree")
-	}
-	return &m, nil
-}
-
-// Phases returns the names of the root's direct children (the pipeline
-// phases), in creation order.
-func (m *Manifest) Phases() []string {
-	var out []string
-	for _, c := range m.Spans.Children {
-		out = append(out, c.Name)
-	}
-	return out
-}
-
 // byTime is one row of the cumulative-time summary.
 type byTime struct {
 	name  string

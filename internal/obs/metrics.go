@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -190,23 +189,4 @@ func (v *RegistryView) flatten() map[string]int64 {
 // gauge's level (name) and high-water mark (name + ".max").
 func Snapshot() map[string]int64 {
 	return RegistrySnapshot().flatten()
-}
-
-// MetricNames returns the registered counter, gauge, and histogram names,
-// sorted.
-func MetricNames() []string {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	names := make([]string, 0, len(registry.counters)+len(registry.gauges)+len(registry.histograms))
-	for name := range registry.counters {
-		names = append(names, name)
-	}
-	for name := range registry.gauges {
-		names = append(names, name)
-	}
-	for name := range registry.histograms {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	return names
 }

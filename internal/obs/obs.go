@@ -65,7 +65,7 @@ func (t *Tracer) Phase(name string) *Span {
 			return c
 		}
 	}
-	c := &Span{tracer: t, Name: name, start: time.Now()}
+	c := &Span{tracer: t, Name: name, start: time.Now(), phase: true}
 	t.root.children = append(t.root.children, c)
 	return c
 }
@@ -92,6 +92,48 @@ func (t *Tracer) Finish() {
 	closeAll(t.root)
 }
 
+// interval is one span as the derived views (/progress, the timeline
+// exports) read it, with open spans measured up to the read.
+type interval struct {
+	name   string
+	path   string // names below the root, "/"-joined ("" for the root)
+	parent int    // index of the parent's interval; -1 for the root
+	start  time.Time
+	dur    time.Duration
+	open   bool
+	group  bool // the root or a phase: grouping nodes, not units of work
+}
+
+// intervals snapshots the span tree depth-first, parents before children.
+func (t *Tracer) intervals() []interval {
+	if t == nil {
+		return nil
+	}
+	now := time.Now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []interval
+	var walk func(s *Span, path string, parent int)
+	walk = func(s *Span, path string, parent int) {
+		iv := interval{name: s.Name, path: path, parent: parent, start: s.start,
+			dur: s.dur, open: !s.ended, group: s == t.root || s.phase}
+		if iv.open {
+			iv.dur = now.Sub(s.start)
+		}
+		self := len(out)
+		out = append(out, iv)
+		for _, c := range s.children {
+			if path == "" {
+				walk(c, c.Name, self)
+			} else {
+				walk(c, path+"/"+c.Name, self)
+			}
+		}
+	}
+	walk(t.root, "", -1)
+	return out
+}
+
 // SetConfig records one run-configuration key (scale, seed, arch, …) for
 // the manifest.
 func (t *Tracer) SetConfig(key, val string) {
@@ -115,6 +157,7 @@ type Span struct {
 	start time.Time
 	dur   time.Duration
 	ended bool
+	phase bool // a Phase grouping node: open until Finish, not work itself
 
 	attrs    []Attr
 	children []*Span

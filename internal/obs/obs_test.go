@@ -51,9 +51,8 @@ func TestSpanTree(t *testing.T) {
 	if m.Name != "run" {
 		t.Fatalf("manifest name %q", m.Name)
 	}
-	phases := m.Phases()
-	if len(phases) != 1 || phases[0] != "exec" {
-		t.Fatalf("phases %v", phases)
+	if len(m.Spans.Children) != 1 || m.Spans.Children[0].Name != "exec" {
+		t.Fatalf("phases %+v", m.Spans.Children)
 	}
 	if m.Spans.DurationNS <= 0 {
 		t.Fatal("root not closed by Finish")
@@ -115,14 +114,8 @@ func TestCountersAndGauges(t *testing.T) {
 	if snap["test.gauge"] != 2 || snap["test.gauge.max"] != 7 {
 		t.Fatalf("snapshot gauge %d/%d", snap["test.gauge"], snap["test.gauge.max"])
 	}
-	found := false
-	for _, n := range MetricNames() {
-		if n == "test.gauge" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("gauge missing from MetricNames")
+	if _, ok := RegistrySnapshot().Gauges["test.gauge"]; !ok {
+		t.Fatal("gauge missing from the registry view")
 	}
 
 	var nilC *Counter

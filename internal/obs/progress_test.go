@@ -7,78 +7,78 @@ import (
 	"testing"
 )
 
-// progressNames collects the names with the given prefix from a slice of
-// running or finished items.
-func runningNames(v ProgressView, prefix string) []string {
+func runningNames(v ProgressView) []string {
 	var out []string
 	for _, it := range v.Running {
-		if len(it.Name) >= len(prefix) && it.Name[:len(prefix)] == prefix {
-			out = append(out, it.Name)
-		}
+		out = append(out, it.Name)
 	}
 	return out
 }
 
-func recentNames(v ProgressView, prefix string) []string {
+func recentNames(v ProgressView) []string {
 	var out []string
 	for _, it := range v.Recent {
-		if len(it.Name) >= len(prefix) && it.Name[:len(prefix)] == prefix {
-			out = append(out, it.Name)
-		}
+		out = append(out, it.Name)
 	}
 	return out
 }
 
-// The board is process-global, so assertions are relative to a baseline and
-// use prefixed names that no other test starts.
-func TestStartProgressBoard(t *testing.T) {
-	base := ProgressSnapshot().Completed
-	doneA := StartProgress("ptest.alpha")
-	doneB := StartProgress("ptest.beta")
+// The board is a view of the span tree: open spans run, ended spans are
+// recent and completed, and the root and phases are never listed.
+func TestProgressBoard(t *testing.T) {
+	tr := New("ptest")
+	a := tr.Root().Start("alpha")
+	b := tr.Phase("exec").Start("beta")
 
-	v := ProgressSnapshot()
-	if got := runningNames(v, "ptest."); len(got) != 2 {
-		t.Fatalf("running = %v, want both ptest items", got)
+	v := tr.progress()
+	if got := runningNames(v); len(got) != 2 {
+		t.Fatalf("running = %v, want alpha and exec/beta", got)
 	}
-	if v.Completed != base {
-		t.Errorf("Completed moved before done: %d != %d", v.Completed, base)
-	}
-
-	doneA()
-	doneA() // idempotent
-	v = ProgressSnapshot()
-	if got := runningNames(v, "ptest."); len(got) != 1 || got[0] != "ptest.beta" {
-		t.Errorf("after doneA running = %v, want only ptest.beta", got)
-	}
-	if v.Completed != base+1 {
-		t.Errorf("Completed = %d, want %d (idempotent done)", v.Completed, base+1)
-	}
-	if got := recentNames(v, "ptest."); len(got) != 1 || got[0] != "ptest.alpha" {
-		t.Errorf("recent = %v, want finished ptest.alpha", got)
+	if v.Completed != 0 {
+		t.Errorf("Completed = %d before any span ended", v.Completed)
 	}
 
-	doneB()
-	if got := runningNames(ProgressSnapshot(), "ptest."); len(got) != 0 {
-		t.Errorf("items leaked on the board: %v", got)
+	a.End()
+	a.End() // idempotent
+	v = tr.progress()
+	if got := runningNames(v); len(got) != 1 || got[0] != "exec/beta" {
+		t.Errorf("after alpha ended running = %v, want only exec/beta", got)
+	}
+	if v.Completed != 1 {
+		t.Errorf("Completed = %d, want 1 (idempotent End)", v.Completed)
+	}
+	if got := recentNames(v); len(got) != 1 || got[0] != "alpha" {
+		t.Errorf("recent = %v, want finished alpha", got)
+	}
+
+	b.End()
+	if got := runningNames(tr.progress()); len(got) != 0 {
+		t.Errorf("spans left on the board: %v", got)
+	}
+
+	var nilTr *Tracer
+	if v := nilTr.progress(); v.Running == nil || len(v.Running) != 0 || v.Completed != 0 {
+		t.Errorf("nil tracer board = %+v, want empty", v)
 	}
 }
 
-// Two concurrent starts of the same name are distinct board entries.
-func TestStartProgressSameName(t *testing.T) {
-	done1 := StartProgress("ptest.dup")
-	done2 := StartProgress("ptest.dup")
-	if got := runningNames(ProgressSnapshot(), "ptest.dup"); len(got) != 2 {
-		t.Errorf("running = %v, want two ptest.dup entries", got)
+// Two concurrent spans of the same name are distinct board entries.
+func TestProgressSameName(t *testing.T) {
+	tr := New("ptest")
+	s1 := tr.Root().Start("dup")
+	s2 := tr.Root().Start("dup")
+	if got := runningNames(tr.progress()); len(got) != 2 {
+		t.Errorf("running = %v, want two dup entries", got)
 	}
-	done1()
-	if got := runningNames(ProgressSnapshot(), "ptest.dup"); len(got) != 1 {
-		t.Errorf("running = %v, want one ptest.dup left", got)
+	s1.End()
+	if got := runningNames(tr.progress()); len(got) != 1 {
+		t.Errorf("running = %v, want one dup left", got)
 	}
-	done2()
+	s2.End()
 }
 
 func TestProgressConcurrent(t *testing.T) {
-	base := ProgressSnapshot().Completed
+	tr := New("ptest")
 	const workers, per = 16, 25
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -86,31 +86,32 @@ func TestProgressConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				done := StartProgress("ptest.conc")
-				ProgressSnapshot() // reads race with starts under -race
-				done()
+				sp := tr.Root().Start("conc")
+				tr.progress() // reads race with starts under -race
+				sp.End()
 			}
 		}()
 	}
 	wg.Wait()
-	v := ProgressSnapshot()
-	if v.Completed != base+workers*per {
-		t.Errorf("Completed = %d, want %d", v.Completed, base+workers*per)
+	v := tr.progress()
+	if v.Completed != workers*per {
+		t.Errorf("Completed = %d, want %d", v.Completed, workers*per)
 	}
-	if got := runningNames(v, "ptest.conc"); len(got) != 0 {
-		t.Errorf("%d ptest.conc items still running", len(got))
+	if got := runningNames(v); len(got) != 0 {
+		t.Errorf("%d conc spans still running", len(got))
 	}
-	// The finished ring stays bounded no matter how many items completed.
-	if len(v.Recent) > progressRecent {
-		t.Errorf("recent ring grew to %d, cap is %d", len(v.Recent), progressRecent)
+	// The recent list stays bounded no matter how many spans ended.
+	if len(v.Recent) != progressRecent {
+		t.Errorf("recent list has %d entries, want %d", len(v.Recent), progressRecent)
 	}
 }
 
 func TestProgressJSONShape(t *testing.T) {
-	done := StartProgress("ptest.http")
-	defer done()
+	tr := New("ptest")
+	sp := tr.Root().Start("http")
+	defer sp.End()
 
-	srv := httptest.NewServer(DebugMux())
+	srv := httptest.NewServer(DebugMux(tr))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/progress")
 	if err != nil {
@@ -142,7 +143,7 @@ func TestProgressJSONShape(t *testing.T) {
 	}
 	found := false
 	for _, it := range running {
-		if it.Name == "ptest.http" {
+		if it.Name == "http" {
 			found = true
 			if it.ElapsedMS < 0 {
 				t.Errorf("negative elapsed: %v", it)
@@ -150,6 +151,6 @@ func TestProgressJSONShape(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("/progress does not show the in-flight item: %v", running)
+		t.Errorf("/progress does not show the open span: %v", running)
 	}
 }

@@ -1,22 +1,24 @@
-// Timeline tracing: a ring-buffered event recorder for the fine-grained
-// behavior the span tree and counters deliberately discard — individual
-// simulated workers starting and finishing units, bandwidth grants
-// changing, pool goroutines draining fan-outs. Events live in a fixed ring
-// (oldest overwritten first), so a full `spmmsim all` run records the tail
-// of its activity in bounded memory. Exported as Chrome trace-event JSON
-// (viewable in Perfetto or chrome://tracing) or as a terminal per-track
-// utilization summary.
+// Timeline tracing: a ring-buffered event recorder for the fine-grained,
+// nameless behavior the span tree and counters deliberately discard —
+// individual simulated workers starting and finishing units, bandwidth
+// grants changing, pool goroutines draining fan-outs. Events live in a
+// fixed ring (oldest overwritten first), so a full `spmmsim all` run
+// records the tail of its activity in bounded memory. Named wall-clock
+// intervals are not recorded here: they are spans (obs.go), which the
+// exports render next to the ring's events. Exported as Chrome trace-event
+// JSON (viewable in Perfetto or chrome://tracing) or as a terminal
+// per-track utilization summary.
 //
-// Two clocks coexist: wall-clock events (pool activity, study slices)
-// carry nanoseconds since the timeline's epoch, while simulator events
-// carry *simulated* nanoseconds. The Chrome export separates them into two
-// trace "processes" so Perfetto never mixes the time bases on one row.
+// Two clocks coexist: wall-clock events (pool activity, and the tracer's
+// spans) carry nanoseconds since the timeline's epoch, while simulator
+// events carry *simulated* nanoseconds. The Chrome export separates them
+// into two trace "processes" so Perfetto never mixes the time bases on one
+// row.
 //
-// Everything is nil-safe: a nil *Timeline (and the nil *Track it hands
-// out) accepts every method as a no-op, so instrumented code records
-// unconditionally and the disabled path costs a nil check — no
-// allocations, no locks (TestEngineStepAllocs and BenchmarkObsDisabled pin
-// this for the engine and experiment paths).
+// Everything is nil-safe: a nil *Timeline accepts every method as a no-op,
+// so instrumented code records unconditionally and the disabled path costs
+// a nil check — no allocations, no locks (TestEngineStepAllocs and
+// BenchmarkObsDisabled pin this for the engine and experiment paths).
 package obs
 
 import (
@@ -28,14 +30,11 @@ import (
 type EventKind uint8
 
 const (
-	// EvSlice is a named wall-clock slice recorded by Track.Start/End
-	// (study and phase activity). Name indexes the timeline's name table.
-	EvSlice EventKind = iota
 	// EvWorkerRun is one simulated worker executing one unit: the slice
 	// [TS, TS+Dur) on the simulated clock, Arg = unit index within the
 	// worker's pool (the tile id for hot pools), Value = bytes the worker
 	// moved to/from main memory during the unit.
-	EvWorkerRun
+	EvWorkerRun EventKind = iota
 	// EvWorkerIdle marks the simulated instant a worker's pool queue ran
 	// dry (the worker idles for the rest of the run).
 	EvWorkerIdle
@@ -60,13 +59,12 @@ func (k EventKind) simClock() bool {
 }
 
 // Event is one timeline record. Events are plain values sized for the
-// ring: names and track labels are interned, so recording never retains
-// caller memory.
+// ring: track labels are interned, so recording never retains caller
+// memory.
 type Event struct {
 	TS    int64 // ns: wall-clock since epoch, or simulated (see EventKind)
 	Dur   int64 // slice width in ns; 0 for instants and samples
 	Track int32 // track id from Timeline.TrackID
-	Name  int32 // interned name id (EvSlice only); -1 otherwise
 	Kind  EventKind
 	Arg   int64   // kind-specific: unit index, item count
 	Value float64 // kind-specific: bytes, bytes/s, depth
@@ -80,20 +78,14 @@ type Timeline struct {
 	mu     sync.Mutex
 	buf    []Event
 	total  uint64 // events ever appended; ring holds the last len(buf)
-	names  []string
-	nameID map[string]int32
 	tracks []string
 	trackI map[string]int32
 }
 
-// maxTracks and maxNames bound the string tables: a long sweep creates
-// tracks per simulated run, and the tables must not grow without bound
-// when the ring does not. Excess entries collapse onto a shared overflow
-// slot.
-const (
-	maxTracks = 4096
-	maxNames  = 1 << 16
-)
+// maxTracks bounds the track table: a long sweep creates tracks per
+// simulated run, and the table must not grow without bound when the ring
+// does not. Excess labels collapse onto a shared overflow track.
+const maxTracks = 4096
 
 // DefaultTimelineEvents is the ring capacity NewTimeline uses for
 // non-positive requests: enough for the tail of a full study sweep while
@@ -109,7 +101,6 @@ func NewTimeline(capacity int) *Timeline {
 	return &Timeline{
 		epoch:  time.Now(),
 		buf:    make([]Event, 0, capacity),
-		nameID: map[string]int32{},
 		trackI: map[string]int32{},
 	}
 }
@@ -123,17 +114,6 @@ func (t *Timeline) Now() int64 {
 	return time.Since(t.epoch).Nanoseconds()
 }
 
-// Intern maps a name to its stable id in the timeline's name table,
-// creating it on first use.
-func (t *Timeline) Intern(name string) int32 {
-	if t == nil {
-		return -1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return internLocked(t.nameID, &t.names, name, maxNames)
-}
-
 // TrackID maps a track label to its stable id, creating the track on first
 // use. Once the table is full, further labels share one "(overflow)" track
 // rather than growing it.
@@ -143,26 +123,18 @@ func (t *Timeline) TrackID(name string) int32 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return internLocked(t.trackI, &t.tracks, name, maxTracks)
-}
-
-// internLocked find-or-creates name in one of the timeline's string
-// tables. Caller holds t.mu. When the table has limit-1 entries, unseen
-// names collapse onto a shared "(overflow)" entry, bounding the table at
-// limit even though the ring keeps rolling.
-func internLocked(index map[string]int32, table *[]string, name string, limit int) int32 {
-	if id, ok := index[name]; ok {
+	if id, ok := t.trackI[name]; ok {
 		return id
 	}
-	if len(*table) >= limit-1 {
+	if len(t.tracks) >= maxTracks-1 {
 		name = "(overflow)"
-		if id, ok := index[name]; ok {
+		if id, ok := t.trackI[name]; ok {
 			return id
 		}
 	}
-	id := int32(len(*table))
-	*table = append(*table, name)
-	index[name] = id
+	id := int32(len(t.tracks))
+	t.tracks = append(t.tracks, name)
+	t.trackI[name] = id
 	return id
 }
 
@@ -216,78 +188,10 @@ func (t *Timeline) Dropped() uint64 {
 	return t.total - uint64(cap(t.buf))
 }
 
-// Total returns how many events were ever appended.
-func (t *Timeline) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // trackName resolves a track id for rendering.
 func (t *Timeline) trackName(id int32) string {
 	if t == nil || id < 0 || int(id) >= len(t.tracks) {
 		return "?"
 	}
 	return t.tracks[id]
-}
-
-// eventName resolves an interned name id for rendering.
-func (t *Timeline) eventName(id int32) string {
-	if t == nil || id < 0 || int(id) >= len(t.names) {
-		return "?"
-	}
-	return t.names[id]
-}
-
-// Track is a handle for recording wall-clock slices onto one timeline row.
-// A nil Track (from a nil Timeline) is a no-op recorder, mirroring the
-// nil-Span contract.
-type Track struct {
-	tl *Timeline
-	id int32
-}
-
-// Track returns the handle for the given label, creating the row on first
-// use.
-func (t *Timeline) Track(name string) *Track {
-	if t == nil {
-		return nil
-	}
-	return &Track{tl: t, id: t.TrackID(name)}
-}
-
-// Start opens a wall-clock slice on the track. Like obs.Span, every Start
-// must be paired with End (the spanend analyzer enforces this).
-func (tr *Track) Start(name string) *TrackSpan {
-	if tr == nil {
-		return nil
-	}
-	return &TrackSpan{tr: tr, name: tr.tl.Intern(name), t0: tr.tl.Now()}
-}
-
-// TrackSpan is one in-flight wall-clock slice; End records it.
-type TrackSpan struct {
-	tr    *Track
-	name  int32
-	t0    int64
-	ended bool
-}
-
-// End closes the slice and appends it to the timeline. Idempotent; a nil
-// TrackSpan is a no-op.
-func (s *TrackSpan) End() {
-	if s == nil || s.ended {
-		return
-	}
-	s.ended = true
-	s.tr.tl.Append(Event{
-		TS:    s.t0,
-		Dur:   s.tr.tl.Now() - s.t0,
-		Track: s.tr.id,
-		Name:  s.name,
-		Kind:  EvSlice,
-	})
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -52,8 +53,6 @@ func (t *Timeline) chrome(ev Event) (chromeEvent, bool) {
 		c.Pid = pidSim
 	}
 	switch ev.Kind {
-	case EvSlice:
-		c.Ph, c.Name, c.Dur = "X", t.eventName(ev.Name), float64(ev.Dur)/1e3
 	case EvWorkerRun:
 		c.Ph, c.Name, c.Dur = "X", "u"+strconv.FormatInt(ev.Arg, 10), float64(ev.Dur)/1e3
 		c.Args = map[string]any{"bytes": ev.Value}
@@ -77,35 +76,78 @@ func (t *Timeline) chrome(ev Event) (chromeEvent, bool) {
 	return c, true
 }
 
-// WriteChromeTrace renders the ring as Chrome trace-event JSON, loadable
-// in Perfetto (ui.perfetto.dev) or chrome://tracing.
-func (t *Timeline) WriteChromeTrace(w io.Writer) error {
+// spanTid0 is the first Chrome thread id of the span rows: past every
+// track id, so span lanes never share a row with pool tracks.
+const spanTid0 = maxTracks
+
+// wallSlice is one span placed on a wall-clock row of the exports.
+type wallSlice struct {
+	name    string
+	ts, dur int64 // ns since the timeline's epoch
+	lane    int
+	top     bool // outermost on its lane when placed
+}
+
+// spanLanes lays the tracer's spans out on wall-clock rows ("spans/<lane>"),
+// timed against the timeline's epoch. A span joins the first lane whose
+// innermost open slice is its parent and encloses it, or whose slices have
+// all ended, so each row nests parents over children, as Chrome "X"
+// slices must, and concurrent siblings (the fan-out's cells) get rows of
+// their own.
+func (t *Timeline) spanLanes(tr *Tracer) []wallSlice {
+	ivs := tr.intervals()
+	order := make([]int, len(ivs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return ivs[a].start.Compare(ivs[b].start) // stable: parents first
+	})
+	type open struct {
+		end int64
+		id  int
+	}
+	var lanes [][]open
+	out := make([]wallSlice, 0, len(ivs))
+	for _, id := range order {
+		iv := ivs[id]
+		s := wallSlice{name: iv.name, ts: iv.start.Sub(t.epoch).Nanoseconds(), dur: iv.dur.Nanoseconds()}
+		end := s.ts + s.dur
+		for ; s.lane < len(lanes); s.lane++ {
+			st := lanes[s.lane]
+			for len(st) > 0 && st[len(st)-1].end <= s.ts {
+				st = st[:len(st)-1]
+			}
+			lanes[s.lane] = st
+			if len(st) == 0 || st[len(st)-1].id == iv.parent && st[len(st)-1].end >= end {
+				break
+			}
+		}
+		if s.lane == len(lanes) {
+			lanes = append(lanes, nil)
+		}
+		s.top = len(lanes[s.lane]) == 0
+		lanes[s.lane] = append(lanes[s.lane], open{end, id})
+		out = append(out, s)
+	}
+	return out
+}
+
+// laneName labels one span row.
+func laneName(lane int) string { return "spans/" + strconv.Itoa(lane) }
+
+// WriteChromeTrace renders the ring, plus tr's spans as wall-clock slices
+// (tr may be nil), as Chrome trace-event JSON, loadable in Perfetto
+// (ui.perfetto.dev) or chrome://tracing.
+func (t *Timeline) WriteChromeTrace(w io.Writer, tr *Tracer) error {
 	if t == nil {
 		return fmt.Errorf("obs: WriteChromeTrace on nil timeline")
 	}
 	events := t.Events()
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(events)+16)}
+	spans := t.spanLanes(tr)
+	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(events)+len(spans)+16)}
 
-	// Metadata first: name the two processes and every referenced thread.
-	type row struct{ pid, tid int }
-	seen := map[row]bool{}
-	for _, ev := range events {
-		pid := pidWall
-		if ev.Kind.simClock() {
-			pid = pidSim
-		}
-		seen[row{pid, int(ev.Track)}] = true
-	}
-	rows := make([]row, 0, len(seen))
-	for r := range seen {
-		rows = append(rows, r)
-	}
-	slices.SortFunc(rows, func(a, b row) int {
-		if a.pid != b.pid {
-			return cmp.Compare(a.pid, b.pid)
-		}
-		return cmp.Compare(a.tid, b.tid)
-	})
+	// Name the two processes, and each thread where it first appears.
 	for _, pid := range []int{pidWall, pidSim} {
 		name := "wall clock"
 		if pid == pidSim {
@@ -115,16 +157,26 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name},
 		})
 	}
-	for _, r := range rows {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: r.pid, Tid: r.tid,
-			Args: map[string]any{"name": t.trackName(int32(r.tid))},
-		})
+	named := map[[2]int]bool{}
+	emit := func(c chromeEvent, thread string) {
+		if row := [2]int{c.Pid, c.Tid}; !named[row] {
+			named[row] = true
+			out.TraceEvents = append(out.TraceEvents, chromeEvent{
+				Name: "thread_name", Ph: "M", Pid: c.Pid, Tid: c.Tid,
+				Args: map[string]any{"name": thread},
+			})
+		}
+		out.TraceEvents = append(out.TraceEvents, c)
 	}
-
+	for _, s := range spans {
+		emit(chromeEvent{
+			Name: s.name, Ph: "X", TS: float64(s.ts) / 1e3, Dur: float64(s.dur) / 1e3,
+			Pid: pidWall, Tid: spanTid0 + s.lane,
+		}, laneName(s.lane))
+	}
 	for _, ev := range events {
 		if c, ok := t.chrome(ev); ok {
-			out.TraceEvents = append(out.TraceEvents, c)
+			emit(c, t.trackName(ev.Track))
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -133,7 +185,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 
 // trackAgg accumulates one track's summary row.
 type trackAgg struct {
-	track    int32
+	name     string
 	sim      bool
 	events   int
 	busy     int64 // Σ slice durations
@@ -142,35 +194,50 @@ type trackAgg struct {
 	maxEnd   int64
 }
 
+// add folds one slice or sample into the row.
+func (a *trackAgg) add(ts, dur int64) {
+	if a.events == 0 || ts < a.minStart {
+		a.minStart = ts
+	}
+	a.maxEnd = max(a.maxEnd, ts+dur)
+	a.events++
+}
+
 // WriteTimelineSummary prints the terminal digest `-timeline -` shows:
 // per-track busy time, span, utilization, and bytes, simulated workers
-// first. Utilization is busy/span where span is the track's own active
-// window (simulated tracks start at 0 by construction).
-func (t *Timeline) WriteTimelineSummary(w io.Writer) error {
+// first, with tr's span lanes (tr may be nil) as wall-clock rows.
+// Utilization is busy/span where span is the track's own active window
+// (simulated tracks start at 0 by construction).
+func (t *Timeline) WriteTimelineSummary(w io.Writer, tr *Tracer) error {
 	if t == nil {
 		return fmt.Errorf("obs: WriteTimelineSummary on nil timeline")
 	}
 	events := t.Events()
-	aggs := map[int32]*trackAgg{}
-	for _, ev := range events {
-		a, ok := aggs[ev.Track]
+	aggs := map[string]*trackAgg{}
+	row := func(name string, sim bool) *trackAgg {
+		a, ok := aggs[name]
 		if !ok {
-			a = &trackAgg{track: ev.Track, sim: ev.Kind.simClock(), minStart: ev.TS}
-			aggs[ev.Track] = a
+			a = &trackAgg{name: name, sim: sim}
+			aggs[name] = a
 		}
-		a.events++
-		if ev.TS < a.minStart {
-			a.minStart = ev.TS
-		}
-		if end := ev.TS + ev.Dur; end > a.maxEnd {
-			a.maxEnd = end
-		}
+		return a
+	}
+	for _, ev := range events {
+		a := row(t.trackName(ev.Track), ev.Kind.simClock())
+		a.add(ev.TS, ev.Dur)
 		switch ev.Kind {
-		case EvSlice, EvTaskRun:
+		case EvTaskRun:
 			a.busy += ev.Dur
 		case EvWorkerRun:
 			a.busy += ev.Dur
 			a.bytes += ev.Value
+		}
+	}
+	for _, s := range t.spanLanes(tr) {
+		a := row(laneName(s.lane), false)
+		a.add(s.ts, s.dur)
+		if s.top {
+			a.busy += s.dur
 		}
 	}
 	rows := make([]*trackAgg, 0, len(aggs))
@@ -187,7 +254,7 @@ func (t *Timeline) WriteTimelineSummary(w io.Writer) error {
 		if a.busy != b.busy {
 			return cmp.Compare(b.busy, a.busy)
 		}
-		return cmp.Compare(a.track, b.track)
+		return strings.Compare(a.name, b.name)
 	})
 
 	fmt.Fprintf(w, "timeline: %d events recorded (%d overwritten), %d tracks\n",
@@ -217,7 +284,7 @@ func (t *Timeline) WriteTimelineSummary(w io.Writer) error {
 			bytes = fmt.Sprintf("%14.3g", a.bytes)
 		}
 		fmt.Fprintf(w, "%-40s%6s%8d%14v%14v%8.1f%s\n",
-			t.trackName(a.track), clock, a.events,
+			a.name, clock, a.events,
 			time.Duration(a.busy).Round(time.Microsecond),
 			time.Duration(span).Round(time.Microsecond),
 			util, bytes)
@@ -225,15 +292,16 @@ func (t *Timeline) WriteTimelineSummary(w io.Writer) error {
 	return nil
 }
 
-// WriteTimeline emits the timeline the way the CLIs' -timeline flag
-// specifies: path "-" prints the per-track summary to w; any other path
-// gets Chrome trace-event JSON, with parent directories created as needed.
-func WriteTimeline(t *Timeline, path string, w io.Writer) error {
+// WriteTimeline emits the timeline and tr's spans the way the CLIs'
+// -timeline flag specifies: path "-" prints the per-track summary to w;
+// any other path gets Chrome trace-event JSON, with parent directories
+// created as needed.
+func WriteTimeline(t *Timeline, tr *Tracer, path string, w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("obs: WriteTimeline on nil timeline")
 	}
 	if path == "-" {
-		return t.WriteTimelineSummary(w)
+		return t.WriteTimelineSummary(w, tr)
 	}
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -244,7 +312,7 @@ func WriteTimeline(t *Timeline, path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := t.WriteChromeTrace(f); err != nil {
+	if err := t.WriteChromeTrace(f, tr); err != nil {
 		f.Close()
 		return err
 	}

@@ -15,23 +15,14 @@ func TestNilTimelineIsNoOp(t *testing.T) {
 	if tl.Now() != 0 {
 		t.Fatal("nil timeline has a clock")
 	}
-	if tl.Intern("x") != -1 || tl.TrackID("x") != -1 {
-		t.Fatal("nil timeline interned a name")
+	if tl.TrackID("x") != -1 {
+		t.Fatal("nil timeline interned a track")
 	}
-	tl.Append(Event{Kind: EvSlice})
-	if tl.Events() != nil || tl.Total() != 0 || tl.Dropped() != 0 {
+	tl.Append(Event{Kind: EvWorkerIdle})
+	if tl.Events() != nil || tl.Dropped() != 0 {
 		t.Fatal("nil timeline recorded events")
 	}
-	tr := tl.Track("row")
-	if tr != nil {
-		t.Fatal("nil timeline produced a track")
-	}
-	sp := tr.Start("slice")
-	if sp != nil {
-		t.Fatal("nil track produced a span")
-	}
-	sp.End()
-	if err := tl.WriteChromeTrace(&bytes.Buffer{}); err == nil {
+	if err := tl.WriteChromeTrace(&bytes.Buffer{}, New("run")); err == nil {
 		t.Fatal("nil timeline export did not error")
 	}
 }
@@ -40,10 +31,7 @@ func TestTimelineRingWrap(t *testing.T) {
 	tl := NewTimeline(4)
 	id := tl.TrackID("row")
 	for i := int64(0); i < 10; i++ {
-		tl.Append(Event{TS: i, Track: id, Name: -1, Kind: EvQueueDepth})
-	}
-	if tl.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tl.Total())
+		tl.Append(Event{TS: i, Track: id, Kind: EvQueueDepth})
 	}
 	if tl.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", tl.Dropped())
@@ -62,25 +50,18 @@ func TestTimelineRingWrap(t *testing.T) {
 
 func TestTimelineInternReuse(t *testing.T) {
 	tl := NewTimeline(16)
-	a := tl.Intern("alpha")
-	b := tl.Intern("beta")
+	a := tl.TrackID("alpha")
+	b := tl.TrackID("beta")
 	if a == b {
-		t.Fatal("distinct names share an id")
+		t.Fatal("distinct tracks share an id")
 	}
-	if again := tl.Intern("alpha"); again != a {
+	if again := tl.TrackID("alpha"); again != a {
 		t.Fatalf("re-intern of alpha = %d, want %d", again, a)
 	}
-	if tl.eventName(a) != "alpha" || tl.eventName(b) != "beta" {
-		t.Fatal("name table does not round-trip")
-	}
-	r := tl.TrackID("row")
-	if again := tl.TrackID("row"); again != r {
-		t.Fatal("re-intern of track changed id")
-	}
-	if tl.trackName(r) != "row" {
+	if tl.trackName(a) != "alpha" || tl.trackName(b) != "beta" {
 		t.Fatal("track table does not round-trip")
 	}
-	if tl.trackName(99) != "?" || tl.eventName(-1) != "?" {
+	if tl.trackName(99) != "?" || tl.trackName(-1) != "?" {
 		t.Fatal("out-of-range ids must render as ?")
 	}
 }
@@ -103,19 +84,55 @@ func TestTimelineTrackOverflow(t *testing.T) {
 	}
 }
 
-func TestTrackSpanRecordsSlice(t *testing.T) {
-	tl := NewTimeline(16)
-	row := tl.Track("studies")
-	sp := row.Start("fig10")
-	sp.End()
-	sp.End() // idempotent: must not record a second slice
-	evs := tl.Events()
-	if len(evs) != 1 {
-		t.Fatalf("recorded %d events, want 1", len(evs))
+// chromeX decodes an export's complete ("X") slices.
+func chromeX(t *testing.T, data []byte) []chromeEvent {
+	t.Helper()
+	var out chromeTrace
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	ev := evs[0]
-	if ev.Kind != EvSlice || ev.Dur < 0 || tl.trackName(ev.Track) != "studies" || tl.eventName(ev.Name) != "fig10" {
-		t.Fatalf("bad slice event %+v", ev)
+	var xs []chromeEvent
+	for _, ev := range out.TraceEvents {
+		if ev.Ph == "X" {
+			xs = append(xs, ev)
+		}
+	}
+	return xs
+}
+
+// Spans render as wall-clock slices: nested spans share a row, overlapping
+// siblings get rows of their own, and open spans are measured to the read.
+func TestSpansRenderAsWallSlices(t *testing.T) {
+	tl := NewTimeline(16)
+	tr := New("spmmsim")
+	study := tr.Root().Start("fig10")
+	a := tr.Phase("exec").Start("cell.a")
+	b := tr.Phase("exec").Start("cell.b") // overlaps cell.a
+	b.End()
+	a.End()
+	study.End()
+
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	tids := map[string]int{}
+	for _, ev := range chromeX(t, buf.Bytes()) {
+		if ev.Pid != pidWall {
+			t.Fatalf("span %q on pid %d, want %d", ev.Name, ev.Pid, pidWall)
+		}
+		tids[ev.Name] = ev.Tid
+	}
+	for _, want := range []string{"spmmsim", "fig10", "exec", "cell.a", "cell.b"} {
+		if _, ok := tids[want]; !ok {
+			t.Fatalf("span %q missing from export (have %v)", want, tids)
+		}
+	}
+	if tids["spmmsim"] != spanTid0 || tids["fig10"] != spanTid0 {
+		t.Errorf("nested spans left the first row: %v", tids)
+	}
+	if tids["cell.a"] == tids["cell.b"] || tids["cell.a"] == tids["fig10"] {
+		t.Errorf("overlapping spans share a row: %v", tids)
 	}
 }
 
@@ -124,21 +141,20 @@ func TestTrackSpanRecordsSlice(t *testing.T) {
 // clock processes named and every referenced thread labeled.
 func TestWriteChromeTrace(t *testing.T) {
 	tl := NewTimeline(64)
-	wallTrack := tl.TrackID("spmmsim/studies")
 	simTrack := tl.TrackID("fig10/hot/w0")
 	poolTrack := tl.TrackID("par/pool")
-	name := tl.Intern("fig10")
+	tr := New("spmmsim")
+	tr.Root().Start("fig10").End()
 	tl.Append(
-		Event{TS: 100, Dur: 2000, Track: wallTrack, Name: name, Kind: EvSlice},
-		Event{TS: 0, Dur: 500, Track: simTrack, Name: -1, Kind: EvWorkerRun, Arg: 3, Value: 4096},
-		Event{TS: 500, Track: simTrack, Name: -1, Kind: EvWorkerIdle},
-		Event{TS: 250, Track: simTrack, Name: -1, Kind: EvGrant, Value: 1e9},
-		Event{TS: 120, Track: poolTrack, Name: -1, Kind: EvTaskEnqueue, Arg: 8},
-		Event{TS: 130, Dur: 700, Track: poolTrack, Name: -1, Kind: EvTaskRun, Arg: 5},
-		Event{TS: 140, Track: poolTrack, Name: -1, Kind: EvQueueDepth, Value: 2},
+		Event{TS: 0, Dur: 500, Track: simTrack, Kind: EvWorkerRun, Arg: 3, Value: 4096},
+		Event{TS: 500, Track: simTrack, Kind: EvWorkerIdle},
+		Event{TS: 250, Track: simTrack, Kind: EvGrant, Value: 1e9},
+		Event{TS: 120, Track: poolTrack, Kind: EvTaskEnqueue, Arg: 8},
+		Event{TS: 130, Dur: 700, Track: poolTrack, Kind: EvTaskRun, Arg: 5},
+		Event{TS: 140, Track: poolTrack, Kind: EvQueueDepth, Value: 2},
 	)
 	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf); err != nil {
+	if err := tl.WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,13 +202,14 @@ func TestWriteChromeTrace(t *testing.T) {
 		}
 		phases[ev.Ph]++
 	}
-	if phases["X"] != 3 || phases["i"] != 2 || phases["C"] != 2 {
-		t.Fatalf("phase counts %v, want 3 X / 2 i / 2 C", phases)
+	// X: the root and fig10 spans, one worker run, one drain.
+	if phases["X"] != 4 || phases["i"] != 2 || phases["C"] != 2 {
+		t.Fatalf("phase counts %v, want 4 X / 2 i / 2 C", phases)
 	}
 	if !processes["wall clock"] || !processes["simulated time"] {
 		t.Fatalf("missing process metadata: %v", processes)
 	}
-	for _, want := range []string{"spmmsim/studies", "fig10/hot/w0", "par/pool"} {
+	for _, want := range []string{"spans/0", "fig10/hot/w0", "par/pool"} {
 		if !threads[want] {
 			t.Fatalf("missing thread_name for %q (have %v)", want, threads)
 		}
@@ -226,23 +243,22 @@ func TestWriteTimelineSummary(t *testing.T) {
 	tl := NewTimeline(64)
 	simTrack := tl.TrackID("fig10/hot/w0")
 	tl.Append(
-		Event{TS: 0, Dur: 800, Track: simTrack, Name: -1, Kind: EvWorkerRun, Value: 1024},
-		Event{TS: 900, Dur: 100, Track: simTrack, Name: -1, Kind: EvWorkerRun, Value: 1024},
+		Event{TS: 0, Dur: 800, Track: simTrack, Kind: EvWorkerRun, Value: 1024},
+		Event{TS: 900, Dur: 100, Track: simTrack, Kind: EvWorkerRun, Value: 1024},
 	)
-	wall := tl.Track("studies")
-	sp := wall.Start("fig10")
-	sp.End()
+	tr := New("spmmsim")
+	tr.Root().Start("fig10").End()
 
 	var buf bytes.Buffer
-	if err := tl.WriteTimelineSummary(&buf); err != nil {
+	if err := tl.WriteTimelineSummary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "3 events recorded") {
+	if !strings.Contains(out, "2 events recorded") {
 		t.Fatalf("summary header wrong:\n%s", out)
 	}
-	// Simulated tracks sort before wall tracks.
-	if sim, wallIdx := strings.Index(out, "fig10/hot/w0"), strings.Index(out, "studies"); sim < 0 || wallIdx < 0 || sim > wallIdx {
+	// Simulated tracks sort before wall rows, spans included.
+	if sim, wallIdx := strings.Index(out, "fig10/hot/w0"), strings.Index(out, "spans/0"); sim < 0 || wallIdx < 0 || sim > wallIdx {
 		t.Fatalf("sim track not listed first:\n%s", out)
 	}
 	// busy 900ns over span 1000ns = 90% utilization.
@@ -253,9 +269,10 @@ func TestWriteTimelineSummary(t *testing.T) {
 
 func TestWriteTimelineFile(t *testing.T) {
 	tl := NewTimeline(16)
-	tl.Track("row").Start("x").End()
+	tr := New("run")
+	tr.Root().Start("x").End()
 	path := filepath.Join(t.TempDir(), "sub", "tl.json")
-	if err := WriteTimeline(tl, path, nil); err != nil {
+	if err := WriteTimeline(tl, tr, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -269,7 +286,10 @@ func TestWriteTimelineFile(t *testing.T) {
 	if _, ok := parsed["traceEvents"]; !ok {
 		t.Fatal("written timeline lacks traceEvents")
 	}
-	if err := WriteTimeline(nil, path, nil); err == nil {
+	if len(chromeX(t, data)) != 2 {
+		t.Fatalf("written timeline lacks the tracer's spans:\n%s", data)
+	}
+	if err := WriteTimeline(nil, tr, path, nil); err == nil {
 		t.Fatal("nil timeline write did not error")
 	}
 }

@@ -52,7 +52,7 @@ func sampleDepth(tl *obs.Timeline, depth int32) {
 		return
 	}
 	tl.Append(obs.Event{
-		TS: tl.Now(), Track: tl.TrackID(poolTrack), Name: -1,
+		TS: tl.Now(), Track: tl.TrackID(poolTrack),
 		Kind: obs.EvQueueDepth, Value: float64(depth),
 	})
 }
@@ -137,7 +137,7 @@ func ForEach(n int, fn func(i int)) {
 	tl := timeline.Load()
 	if tl != nil {
 		tl.Append(obs.Event{
-			TS: tl.Now(), Track: tl.TrackID(poolTrack), Name: -1,
+			TS: tl.Now(), Track: tl.TrackID(poolTrack),
 			Kind: obs.EvTaskEnqueue, Arg: int64(n),
 		})
 	}
@@ -155,7 +155,7 @@ func ForEach(n int, fn func(i int)) {
 		}
 		if tl != nil {
 			tl.Append(obs.Event{
-				TS: t0, Dur: tl.Now() - t0, Track: tl.TrackID("par/" + slot), Name: -1,
+				TS: t0, Dur: tl.Now() - t0, Track: tl.TrackID("par/" + slot),
 				Kind: obs.EvTaskRun, Arg: int64(drained),
 			})
 		}

@@ -127,10 +127,11 @@ type engine struct {
 	// drain compute counters skip the reallocation entirely.
 	allocValid bool
 
-	// naiveAlloc forces allocateNaive on every step (no scratch reuse, no
-	// grant-invalidation skip). Only the property tests set it: they run
-	// whole simulations both ways and require bit-identical outcomes.
-	naiveAlloc bool
+	// naiveAlloc, when set, replaces allocate on every step (no scratch
+	// reuse, no grant-invalidation skip). Only the property tests set it, to
+	// their reference oracle: they run whole simulations both ways and
+	// require bit-identical outcomes.
+	naiveAlloc func(workers []workerState, pools []*pool, totalBW float64)
 
 	// deep is the optional timeline/deep-timing scratch (see timeline.go).
 	// nil in normal runs; its buffers are sized at attach time, so traced
@@ -235,7 +236,7 @@ func (e *engine) reset(pools []*pool, totalBW float64) error {
 	e.now = 0
 	e.steps = 0
 	e.allocValid = false
-	e.naiveAlloc = false
+	e.naiveAlloc = nil
 	e.deep = nil
 	for pi, p := range pools {
 		for w := 0; w < p.workers; w++ {
@@ -312,8 +313,8 @@ func (e *engine) step(tr *tracer) bool {
 	}
 	d := e.deep
 	realloc := false
-	if e.naiveAlloc {
-		allocateNaive(e.workers, e.pools, e.totalBW)
+	if e.naiveAlloc != nil {
+		e.naiveAlloc(e.workers, e.pools, e.totalBW)
 		realloc = true
 	} else if !e.allocValid {
 		e.allocate()
@@ -432,10 +433,10 @@ func (e *engine) step(tr *tracer) bool {
 // slack to the pool's other workers rather than stranding it, so a pool
 // with mixed-speed members can still saturate its link.
 //
-// allocateNaive is the executable specification; this version computes the
-// same grants (pinned bit-identically by TestAllocateMatchesNaive and the
-// engine property test) without allocating, over the scratch sized at
-// engine construction.
+// allocateNaive (oracle_test.go) is the executable specification; this
+// version computes the same grants (pinned bit-identically by
+// TestAllocateMatchesNaive and the engine property test) without
+// allocating, over the scratch sized at engine construction.
 //
 //hot:path
 func (e *engine) allocate() {
@@ -518,84 +519,4 @@ func (e *engine) waterfill(caps, grants []float64, budget float64) {
 		}
 		unsat = still
 	}
-}
-
-// allocateNaive is the original allocation routine, kept verbatim as the
-// executable specification the scratch-based allocate is verified against:
-// the engine property test runs whole simulations under both and asserts
-// bit-identical makespans, statistics, and per-step grants.
-func allocateNaive(workers []workerState, pools []*pool, totalBW float64) {
-	type claimant struct {
-		w  *workerState
-		bw float64
-	}
-	var cs []claimant
-	byPool := make([][]int, len(pools)) // claimant indices per pool
-	demand := make([]float64, len(pools))
-	for wi := range workers {
-		w := &workers[wi]
-		w.grant = 0
-		if w.unitIdx < 0 || w.remB <= 0 {
-			continue
-		}
-		wcap := pools[w.pool].workerCap(w.idx)
-		demand[w.pool] += wcap
-		byPool[w.pool] = append(byPool[w.pool], len(cs))
-		cs = append(cs, claimant{w, wcap})
-	}
-	if len(cs) == 0 {
-		return
-	}
-	for pi, p := range pools {
-		if p.linkBW <= 0 || demand[pi] <= p.linkBW || len(byPool[pi]) == 0 {
-			continue
-		}
-		caps := make([]float64, len(byPool[pi]))
-		for j, ci := range byPool[pi] {
-			caps[j] = cs[ci].bw
-		}
-		for j, g := range waterfillNaive(caps, p.linkBW) {
-			cs[byPool[pi][j]].bw = g
-		}
-	}
-	caps := make([]float64, len(cs))
-	for i, c := range cs {
-		caps[i] = c.bw
-	}
-	for i, g := range waterfillNaive(caps, totalBW) {
-		cs[i].w.grant = g
-	}
-}
-
-// waterfillNaive is the allocating reference waterfill backing
-// allocateNaive.
-func waterfillNaive(caps []float64, budget float64) []float64 {
-	grants := make([]float64, len(caps))
-	unsat := make([]int, len(caps))
-	for i := range unsat {
-		unsat[i] = i
-	}
-	remaining := budget
-	for len(unsat) > 0 && remaining > 0 {
-		share := remaining / float64(len(unsat))
-		still := unsat[:0]
-		progressed := false
-		for _, i := range unsat {
-			if need := caps[i] - grants[i]; need <= share {
-				grants[i] = caps[i]
-				remaining -= need
-				progressed = true
-			} else {
-				still = append(still, i)
-			}
-		}
-		if !progressed {
-			for _, i := range still {
-				grants[i] += share
-			}
-			break
-		}
-		unsat = still
-	}
-	return grants
 }

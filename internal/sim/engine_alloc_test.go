@@ -119,7 +119,7 @@ func runNaive(pools []*pool, totalBW float64, tr *tracer) (float64, []poolStats,
 	if err != nil {
 		return 0, nil, err
 	}
-	e.naiveAlloc = true
+	e.naiveAlloc = allocateNaive
 	for e.step(tr) {
 	}
 	return e.now, e.stats, nil

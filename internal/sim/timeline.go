@@ -123,7 +123,6 @@ func (d *engineDeep) unitDone(wi int, unitIdx int, now float64) {
 		TS:    d.baseNS + simNS(d.unitStart[wi]),
 		Dur:   simNS(now) - simNS(d.unitStart[wi]),
 		Track: d.tracks[wi],
-		Name:  -1,
 		Kind:  obs.EvWorkerRun,
 		Arg:   int64(unitIdx),
 		Value: d.bytesAcc[wi],
@@ -137,7 +136,7 @@ func (d *engineDeep) idle(wi int, now float64) {
 	if d.tl == nil {
 		return
 	}
-	d.emit(obs.Event{TS: d.baseNS + simNS(now), Track: d.tracks[wi], Name: -1, Kind: obs.EvWorkerIdle})
+	d.emit(obs.Event{TS: d.baseNS + simNS(now), Track: d.tracks[wi], Kind: obs.EvWorkerIdle})
 }
 
 // sampleGrants emits an EvGrant for every active worker whose grant
@@ -154,7 +153,7 @@ func (d *engineDeep) sampleGrants(e *engine) {
 			continue
 		}
 		d.prevGrant[wi] = g
-		d.emit(obs.Event{TS: d.baseNS + simNS(e.now), Track: d.tracks[wi], Name: -1, Kind: obs.EvGrant, Value: g})
+		d.emit(obs.Event{TS: d.baseNS + simNS(e.now), Track: d.tracks[wi], Kind: obs.EvGrant, Value: g})
 		if d.grantLeft--; d.grantLeft == 0 {
 			// Budget exhausted: count one drop so the truncation is visible.
 			d.dropped++

@@ -114,14 +114,14 @@ func Evolve(ctx context.Context, m *sparse.COO, a *arch.Arch, batches [][]sparse
 		return nil, err
 	}
 	res := &EvolveResult{Steps: make([]EvolveStep, 0, len(batches)), Plan: plan}
-	steps := cfg.Timeline.Track(label + "/steps")
+	parent := obs.CtxSpan(ctx)
 	for step, edits := range batches {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("workload: evolve canceled at step %d: %w", step, cerr)
 		}
-		slice := steps.Start(fmt.Sprintf("step%d", step))
-		st, err := evolveStep(ctx, cur, a, plan, edits, &pcfg, &sr, cfg, label, step)
-		slice.End()
+		sp := parent.Start("workload.evolve.step", obs.Int("step", step))
+		st, err := evolveStep(obs.WithSpan(ctx, sp), cur, a, plan, edits, &pcfg, &sr, cfg, label, step)
+		sp.End()
 		if err != nil {
 			return nil, err
 		}

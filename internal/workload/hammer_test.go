@@ -27,7 +27,7 @@ func TestBatchHammerWithMetricsScrapes(t *testing.T) {
 	a := smallArch()
 	din := dense.NewRandom(rand.New(rand.NewSource(32)), m1.N, a.K)
 
-	srv := httptest.NewServer(obs.DebugMux())
+	srv := httptest.NewServer(obs.DebugMux(nil))
 	defer srv.Close()
 
 	const (

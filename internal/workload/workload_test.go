@@ -135,7 +135,9 @@ func TestGNNTimelineRecordsLayers(t *testing.T) {
 	m := testMatrix(t, 6, 256, 64, 1500, 800)
 	a := smallArch()
 	tl := obs.NewTimeline(1 << 14)
-	_, err := GNN(context.Background(), m, &a, nil, GNNConfig{
+	tr := obs.New("t")
+	ctx := obs.WithSpan(context.Background(), tr.Root())
+	_, err := GNN(ctx, m, &a, nil, GNNConfig{
 		Layers: 2, SkipFunctional: true, Timeline: tl, Label: "t",
 	})
 	if err != nil {
@@ -143,6 +145,16 @@ func TestGNNTimelineRecordsLayers(t *testing.T) {
 	}
 	if len(tl.Events()) == 0 {
 		t.Fatal("timeline recorded no events")
+	}
+	// Each layer is one span under the caller's, indexed by attr.
+	var layers []string
+	for _, c := range tr.SpanTree().Children {
+		if c.Name == "workload.gnn.layer" {
+			layers = append(layers, c.Attrs["layer"])
+		}
+	}
+	if len(layers) != 2 || layers[0] != "0" || layers[1] != "1" {
+		t.Fatalf("layer spans = %v, want layers 0 and 1", layers)
 	}
 }
 
