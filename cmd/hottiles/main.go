@@ -16,6 +16,7 @@ import (
 	"os"
 
 	hottiles "repro"
+	"repro/internal/hotcore"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sparse"
@@ -221,20 +222,10 @@ func main() {
 	}
 
 	if *outHot != "" {
-		if err := writeSection(*outHot, hotSectionCOO(plan)); err != nil {
-			fail(err)
-		}
-		hashFile(tr, *outHot)
+		writeSection(tr, *outHot, hotcore.Section(plan.Grid, plan.Partition.Hot, true))
 	}
 	if *outCold != "" {
-		cold := plan.Cold
-		if cold == nil && plan.ColdCSR != nil {
-			cold = plan.ColdCSR.ToCOO()
-		}
-		if err := writeSection(*outCold, cold); err != nil {
-			fail(err)
-		}
-		hashFile(tr, *outCold)
+		writeSection(tr, *outCold, hotcore.Section(plan.Grid, plan.Partition.Hot, false))
 	}
 
 	if *mapFile != "" {
@@ -356,9 +347,8 @@ func report(plan *hottiles.Plan, a *hottiles.Arch) {
 		hotTiles, nnz, frac*100, plan.Partition.Heuristic, mode(plan.Partition.Serial))
 	fmt.Printf("predicted runtime: %.3f ms\n", plan.Partition.Predicted*1e3)
 	if plan.Timing.Total() > 0 {
-		fmt.Printf("preprocessing: scan %v, partition %v, formats %v+%v (HotTiles overhead %.0f%%)\n",
-			plan.Timing.Scan, plan.Timing.Partition, plan.Timing.BaseFormat, plan.Timing.ExtraFormat,
-			float64(plan.Timing.Overhead())/float64(plan.Timing.Total())*100)
+		// Format generation is not part of the plan (spmmsim fig18 times it).
+		fmt.Printf("preprocessing: scan %v, partition %v\n", plan.Timing.Scan, plan.Timing.Partition)
 	} else {
 		fmt.Println("preprocessing: none (loaded plan)")
 	}
@@ -371,24 +361,21 @@ func mode(serial bool) string {
 	return "parallel"
 }
 
-func hotSectionCOO(plan *hottiles.Plan) *sparse.COO {
-	m := sparse.NewCOO(plan.Grid.N, plan.Hot.NNZ())
-	for _, b := range plan.Hot.Blocks {
-		m.Rows = append(m.Rows, b.Rows...)
-		m.Cols = append(m.Cols, b.Cols...)
-		m.Vals = append(m.Vals, b.Vals...)
-	}
-	m.SortRowMajor()
-	return m
-}
-
-func writeSection(path string, m *sparse.COO) error {
+// writeSection writes one worker type's nonzeros as MatrixMarket and
+// records the file in the manifest.
+func writeSection(tr *obs.Tracer, path string, m *sparse.COO) {
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		fail(err)
 	}
-	defer f.Close()
-	return hottiles.WriteMatrixMarket(f, m)
+	if err := hottiles.WriteMatrixMarket(f, m); err != nil {
+		f.Close()
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
+	hashFile(tr, path)
 }
 
 // logger is the CLI's diagnostic stream (stderr; stdout stays the report).

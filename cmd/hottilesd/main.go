@@ -127,6 +127,10 @@ func main() {
 		fail(err)
 	}
 	srv := &http.Server{Handler: s.mux}
+	// The handler goes in before serving: a signal that arrives right
+	// after the listen line must drain, not kill the process.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
 	// The accept loop outlives any single fan-out and terminates with
 	// the listener — like obs.ServeDebug's, it cannot run on the bounded
 	// task pool, so cmd/hottilesd is nakedgo-allowlisted.
@@ -137,8 +141,6 @@ func main() {
 		obs.Str("strategy", cfg.stratName),
 	)
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
 	for got := range sig {
 		if got == syscall.SIGQUIT {
 			// Post-mortem dump on demand; the daemon keeps serving.

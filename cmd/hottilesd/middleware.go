@@ -113,8 +113,7 @@ func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http
 		tr := obs.New("httpd." + route)
 		tr.Root().SetAttr("req", id)
 		reqLog := s.log.With(obs.Str("req", id), obs.Str("route", route))
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = obs.WithLogger(ctx, reqLog)
+		ctx := obs.WithLogger(r.Context(), reqLog)
 		ctx = obs.WithSpan(ctx, tr.Root())
 
 		sw := &statusWriter{ResponseWriter: w}

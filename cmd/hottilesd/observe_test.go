@@ -91,6 +91,10 @@ func TestRequestIDCorrelation(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	// The access line and the flight record are written after the handler
+	// returns, which can be after the client has read the whole body; Close
+	// waits for the handler.
+	ts.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /plan: %d", resp.StatusCode)
 	}
@@ -207,6 +211,8 @@ func TestPostmortemCapturesErrorAndSlow(t *testing.T) {
 	resp2 := postPlan(t, ts2.Client(), ts2.URL, matrixBytes(t, 23, 512, 4000))
 	io.Copy(io.Discard, resp2.Body)
 	resp2.Body.Close()
+	// As in phase one, Close waits for the handler, and so for its record.
+	ts2.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp2.StatusCode)
 	}

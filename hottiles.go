@@ -9,8 +9,8 @@
 //   - the IMH-aware analytical performance model (paper §IV) and the four
 //     HotTiles partitioning heuristics plus the IUnaware baseline (§V,
 //     §III-B);
-//   - the Figure 7 preprocessing pipeline producing per-worker-type sparse
-//     formats;
+//   - the Figure 7 preprocessing pipeline producing the tiling and the
+//     hot/cold decision that execution reads;
 //   - a fluid event-driven simulator of the three evaluated heterogeneous
 //     architectures (SPADE-Sextans, SPADE-Sextans+PCIe, PIUMA) that also
 //     executes SpMM functionally;
@@ -66,7 +66,8 @@ type (
 	Worker = model.Worker
 	// Grid is a tiling of a sparse matrix with per-tile statistics.
 	Grid = tile.Grid
-	// Plan is the output of the preprocessing pipeline (paper Figure 7).
+	// Plan is the output of the preprocessing pipeline (paper Figure 7):
+	// the tiling and the hot/cold decision, without the per-worker formats.
 	Plan = hotcore.Prep
 	// Strategy selects the partitioning method.
 	Strategy = hotcore.Strategy
@@ -166,8 +167,9 @@ func WriteMatrixMarket(w io.Writer, m *Matrix) error { return mm.Write(w, m) }
 func NewDense(n, k int) *Dense { return dense.NewMatrix(n, k) }
 
 // Partition runs the Figure 7 preprocessing pipeline: tile the matrix, model
-// every tile for both worker types, partition with the chosen strategy, and
-// emit the per-worker-type sparse formats. opsPerMAC carries the semiring's
+// every tile for both worker types, and partition with the chosen strategy.
+// The plan holds the tiling and the decision; the per-worker-type formats
+// are derived from it and not stored. opsPerMAC carries the semiring's
 // arithmetic-intensity factor (2 = plain SpMM); seed feeds IUnaware's random
 // assignment.
 func Partition(m *Matrix, a *Arch, strategy Strategy, opsPerMAC float64, seed int64) (*Plan, error) {
@@ -278,7 +280,7 @@ func ReadPlan(r io.Reader) (*Plan, error) { return hotcore.ReadPlan(r) }
 // PartitionCtx is PartitionWith with context cancellation: the pipeline
 // checks ctx at each stage boundary, so a canceled caller (a timed-out
 // hottilesd request, an interrupted batch job) stops paying for the scan,
-// model, partition and format stages it no longer needs.
+// model and partition stages it no longer needs.
 func PartitionCtx(ctx context.Context, m *Matrix, a *Arch, o PartitionOptions) (*Plan, error) {
 	return hotcore.PreprocessCtx(ctx, m, a, o)
 }

@@ -8,8 +8,9 @@ import (
 	"repro/internal/arch"
 )
 
-// planBytes serializes a small valid plan; csr selects the PIUMA-style
-// architecture whose cold section is CSR (exercising the second wire shape).
+// planBytes serializes a small valid plan; csr selects the PIUMA
+// architecture, whose workers consume CSR, for a second partitioning
+// decision over the same matrix.
 func planBytes(tb testing.TB, csr bool) []byte {
 	tb.Helper()
 	m := testMatrix(tb, 61, 256, 32, 900, 400)
@@ -81,7 +82,7 @@ func TestReadPlanTruncated(t *testing.T) {
 // requires ReadPlan to survive each corruption: either a clean rejection or
 // a plan that still satisfies Validate (a flip inside a float payload can
 // be semantically invisible). The pre-fix code panicked on several of
-// these shapes (nil hot section, ragged blocks, zero tile geometry).
+// these shapes (zero tile geometry among them).
 func TestReadPlanBitFlips(t *testing.T) {
 	for _, csr := range []bool{false, true} {
 		data := planBytes(t, csr)
@@ -126,33 +127,23 @@ func validWire(t *testing.T, csr bool) *planWire {
 }
 
 // TestReadPlanAdversarialWire is the regression test for the
-// deserialization panics: each case decoded fine pre-fix and then crashed
-// ReadPlan's validation (nil-pointer dereference, out-of-range index, or
-// integer division by zero). All must now come back as clean errors.
+// deserialization panics: each case decodes fine and must then come back
+// from ReadPlan's validation as a clean error, not a panic (integer
+// division by zero, out-of-range index).
 func TestReadPlanAdversarialWire(t *testing.T) {
 	cases := map[string]func(w *planWire){
-		"nil hot section": func(w *planWire) {
-			w.HotFormat = nil
-		},
-		"row pointers missing": func(w *planWire) {
-			w.HotFormat.RowPtr = nil
-		},
-		"ragged block columns": func(w *planWire) {
-			w.HotFormat.Blocks[0].Cols = w.HotFormat.Blocks[0].Cols[:0]
-		},
 		"zero tile geometry": func(w *planWire) {
 			w.TileH, w.TileW = 0, 0
-			w.HotFormat.TileH, w.HotFormat.TileW = 0, 0
 		},
-		"hot geometry disagrees with grid": func(w *planWire) {
-			w.HotFormat.TileH = w.TileH + 1
+		"assignment length ≠ tile count": func(w *planWire) {
+			w.Hot = w.Hot[:len(w.Hot)-1]
 		},
 	}
 	for name, corrupt := range cases {
 		for _, csr := range []bool{false, true} {
 			w := validWire(t, csr)
-			if len(w.HotFormat.Blocks) == 0 {
-				t.Fatalf("csr=%v: test plan has no hot blocks; corruption would be vacuous", csr)
+			if len(w.Hot) == 0 {
+				t.Fatalf("csr=%v: test plan has no tiles; corruption would be vacuous", csr)
 			}
 			corrupt(w)
 			func() {
@@ -167,26 +158,4 @@ func TestReadPlanAdversarialWire(t *testing.T) {
 			}()
 		}
 	}
-}
-
-// TestReadPlanNonMonotoneColdCSR pins the CSR hardening: a cold section
-// whose row pointers are locally increasing but globally non-monotone used
-// to index past the column slice inside CSR.Validate.
-func TestReadPlanNonMonotoneColdCSR(t *testing.T) {
-	w := validWire(t, true)
-	if w.ColdCSR == nil || w.ColdCSR.N < 2 || w.ColdCSR.NNZ() < 2 {
-		t.Fatal("test plan has no usable cold CSR section")
-	}
-	// [0, ..., nnz] → [0, nnz+big, ..., nnz]: row 0 now spans past Cols.
-	w.ColdCSR.RowPtr[1] = int64(w.ColdCSR.NNZ() + 1000)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("ReadPlan panicked on non-monotone cold CSR: %v", r)
-			}
-		}()
-		if _, err := ReadPlan(bytes.NewReader(encodeWire(t, w))); err == nil {
-			t.Fatal("non-monotone cold CSR accepted")
-		}
-	}()
 }

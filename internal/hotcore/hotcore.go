@@ -4,8 +4,11 @@
 // performance models, (2) partition the tiles with the HotTiles heuristics,
 // and (3) generate the sparse-matrix sections in the compression format
 // each worker type consumes (tiled formats for the hot streamers, untiled
-// row-ordered formats for the cold workers). Stage wall-clock timings are
-// recorded for the preprocessing-cost study (Figure 18).
+// row-ordered formats for the cold workers). PreprocessCtx runs stages 1-2
+// and returns the plan; stage 3 is GenerateFormats, run on demand, since
+// the formats are derived from the plan and execution does not read them.
+// Stage wall-clock timings are recorded for the preprocessing-cost study
+// (Figure 18).
 package hotcore
 
 import (
@@ -57,7 +60,8 @@ func (t *TiledMatrix) NNZ() int {
 // BaseFormat is the cost any accelerator (homogeneous included) pays to
 // convert MatrixMarket input into its operating format; the other stages
 // are the HotTiles-specific overhead (scan+model, partitioning, and the
-// format for the second worker type).
+// format for the second worker type). The two format stages stay zero until
+// GenerateFormats runs.
 type Timing struct {
 	Scan        time.Duration // tiling + per-tile statistics + model
 	Partition   time.Duration // heuristic partitioning
@@ -77,21 +81,12 @@ func (t Timing) Overhead() time.Duration {
 }
 
 // Prep is the output of the preprocessing pipeline: the tiling, the
-// partitioning decision, the two per-worker-type formats, and stage
-// timings.
+// partitioning decision, and stage timings. Execution reads only these;
+// the per-worker-type formats are derived on demand by GenerateFormats.
 type Prep struct {
 	Grid      *tile.Grid
 	Partition partition.Result
-
-	// Hot is the tiled section for the hot workers (nil when no tile is
-	// hot); Cold the untiled row-ordered section for the cold workers
-	// (empty when everything is hot). ColdCSR is set instead of Cold when
-	// the cold worker consumes CSR.
-	Hot     *TiledMatrix
-	Cold    *sparse.COO
-	ColdCSR *sparse.CSR
-
-	Timing Timing
+	Timing    Timing
 }
 
 // Strategy selects how Preprocess assigns tiles.
@@ -151,11 +146,10 @@ func PreprocessOpts(m *sparse.COO, a *arch.Arch, o Options) (*Prep, error) {
 }
 
 // PreprocessCtx is PreprocessOpts with cancellation: ctx is checked at
-// every stage boundary (scan, partition, each format generation), so a
-// caller-side timeout or a dropped daemon request abandons the pipeline
-// between stages rather than running it to completion. Cancellation
-// granularity is one stage — an individual stage, once started, runs to
-// its end on the par pool.
+// every stage boundary (scan, partition), so a caller-side timeout or a
+// dropped daemon request abandons the pipeline between stages rather than
+// running it to completion. Cancellation granularity is one stage — an
+// individual stage, once started, runs to its end on the par pool.
 func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) (*Prep, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -248,18 +242,44 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	p := &Prep{Grid: g, Partition: res}
 	p.Timing.Scan = scan
 	p.Timing.Partition = part
+	return p, nil
+}
+
+// Formats is stage 3 of Figure 7: the matrix split into the section each
+// worker type consumes. Hot is the tiled section for the hot workers (no
+// blocks when no tile is hot); Cold the untiled row-ordered section for
+// the cold workers (empty when everything is hot). ColdCSR is set instead
+// of Cold when the cold worker consumes CSR.
+type Formats struct {
+	Hot     *TiledMatrix
+	Cold    *sparse.COO
+	ColdCSR *sparse.CSR
+}
+
+// GenerateFormats runs stage 3 of Figure 7 for plan p on architecture a,
+// recording its cost in p.Timing.BaseFormat and p.Timing.ExtraFormat. The
+// formats are a pure function of p.Grid and p.Partition.Hot, so a plan
+// reloaded with ReadPlan regenerates exactly what the in-memory plan would.
+// p must come from PreprocessCtx or ReadPlan. Like PreprocessCtx, ctx is
+// checked before each of the two format stages.
+func GenerateFormats(ctx context.Context, p *Prep, a *arch.Arch) (*Formats, error) {
+	g, hot := p.Grid, p.Partition.Hot
+	log := obs.CtxLog(ctx)
+	parent := obs.CtxSpan(ctx)
+	debug := log.Enabled(obs.LogDebug)
+	f := &Formats{}
 
 	// Stage 3a: cold (base) format — the untiled row-ordered section.
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("hotcore: preprocessing canceled: %w", cerr)
+		return nil, fmt.Errorf("hotcore: format generation canceled: %w", cerr)
 	}
-	sp = parent.Start("hotcore.baseformat")
-	t0 = time.Now()
-	cold := coldSection(g, res.Hot)
+	sp := parent.Start("hotcore.baseformat")
+	t0 := time.Now()
+	cold := Section(g, hot, false)
 	if a.Cold.Format == model.FormatCSR {
-		p.ColdCSR = sparse.ToCSR(cold)
+		f.ColdCSR = sparse.ToCSR(cold)
 	} else {
-		p.Cold = cold
+		f.Cold = cold
 	}
 	sp.End()
 	p.Timing.BaseFormat = time.Since(t0)
@@ -270,27 +290,28 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 
 	// Stage 3b: hot (extra) format — the tiled section.
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("hotcore: preprocessing canceled: %w", cerr)
+		return nil, fmt.Errorf("hotcore: format generation canceled: %w", cerr)
 	}
 	sp = parent.Start("hotcore.extraformat")
 	t0 = time.Now()
-	p.Hot = hotSection(g, res.Hot, a.Hot.Format == model.FormatCSR)
+	f.Hot = hotSection(g, hot, a.Hot.Format == model.FormatCSR)
 	sp.End()
 	p.Timing.ExtraFormat = time.Since(t0)
 	if debug {
 		log.Debug("hotcore.stage",
 			obs.Str("stage", "extraformat"), obs.Str("dur", p.Timing.ExtraFormat.String()))
 	}
-
-	return p, nil
+	return f, nil
 }
 
-// coldSection gathers the nonzeros of the non-hot tiles into a row-major
-// COO (the untiled traversal order of Figure 6(a)).
-func coldSection(g *tile.Grid, hot []bool) *sparse.COO {
+// Section gathers the nonzeros of the tiles whose assignment equals want
+// into a row-major COO (the untiled traversal order of Figure 6(a)):
+// want=false is the cold workers' section, want=true the hot tiles' nonzeros
+// without their tiling.
+func Section(g *tile.Grid, hot []bool, want bool) *sparse.COO {
 	m := sparse.NewCOO(g.N, 0)
 	for i := range g.Tiles {
-		if hot[i] {
+		if hot[i] != want {
 			continue
 		}
 		rows, cols, vals := g.TileNonzeros(i)
@@ -336,58 +357,20 @@ func hotSection(g *tile.Grid, hot []bool, csr bool) *TiledMatrix {
 	return t
 }
 
-// Validate checks that the preprocessing output partitions the matrix: the
-// hot and cold sections together hold exactly the grid's nonzeros. It must
-// never panic, whatever the field values — ReadPlan runs it on
-// gob-decoded data from disk, where truncation or bit rot can produce a
-// structurally arbitrary Prep (nil hot section, ragged block slices,
-// zero tile geometry), so every invariant is checked before it is relied
-// on for indexing or division.
+// Validate checks the plan's structural invariants: a valid grid and one
+// assignment bit per tile. It must never panic, whatever the field values —
+// ReadPlan runs it on gob-decoded data from disk, where truncation or bit
+// rot can produce a structurally arbitrary Prep.
 func (p *Prep) Validate() error {
-	if p.Hot == nil {
-		return fmt.Errorf("hotcore: plan missing hot section")
+	if p.Grid == nil {
+		return fmt.Errorf("hotcore: plan has no grid")
 	}
-	if len(p.Hot.Blocks) > 0 && (p.Hot.TileH <= 0 || p.Hot.TileW <= 0) {
-		return fmt.Errorf("hotcore: hot section tile geometry %dx%d invalid",
-			p.Hot.TileH, p.Hot.TileW)
+	if err := p.Grid.Validate(); err != nil {
+		return fmt.Errorf("hotcore: grid invalid: %w", err)
 	}
-	if len(p.Hot.RowPtr) != len(p.Hot.Blocks) {
-		return fmt.Errorf("hotcore: hot section has %d row-pointer arrays for %d blocks",
-			len(p.Hot.RowPtr), len(p.Hot.Blocks))
-	}
-	coldNNZ := 0
-	switch {
-	case p.Cold != nil:
-		if err := p.Cold.Validate(); err != nil {
-			return fmt.Errorf("hotcore: cold section: %w", err)
-		}
-		coldNNZ = p.Cold.NNZ()
-	case p.ColdCSR != nil:
-		if err := p.ColdCSR.Validate(); err != nil {
-			return fmt.Errorf("hotcore: cold CSR section: %w", err)
-		}
-		coldNNZ = p.ColdCSR.NNZ()
-	}
-	if got := coldNNZ + p.Hot.NNZ(); got != p.Grid.NNZ() {
-		return fmt.Errorf("hotcore: sections hold %d nonzeros, grid has %d", got, p.Grid.NNZ())
-	}
-	for b := range p.Hot.Blocks {
-		blk := &p.Hot.Blocks[b]
-		if len(blk.Cols) != len(blk.Rows) || len(blk.Vals) != len(blk.Rows) {
-			return fmt.Errorf("hotcore: hot block %d ragged: rows=%d cols=%d vals=%d",
-				b, len(blk.Rows), len(blk.Cols), len(blk.Vals))
-		}
-		if p.Hot.CSR {
-			ptr := p.Hot.RowPtr[b]
-			if len(ptr) == 0 || ptr[len(ptr)-1] != int64(len(blk.Vals)) {
-				return fmt.Errorf("hotcore: hot block %d CSR pointers inconsistent", b)
-			}
-		}
-		for i, r := range blk.Rows {
-			if int(r)/p.Hot.TileH != blk.TR || int(blk.Cols[i])/p.Hot.TileW != blk.TC {
-				return fmt.Errorf("hotcore: hot block %d nonzero %d outside tile", b, i)
-			}
-		}
+	if len(p.Partition.Hot) != len(p.Grid.Tiles) {
+		return fmt.Errorf("hotcore: assignment length %d, grid has %d tiles",
+			len(p.Partition.Hot), len(p.Grid.Tiles))
 	}
 	return nil
 }

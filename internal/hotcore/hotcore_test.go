@@ -1,6 +1,8 @@
 package hotcore
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -24,6 +26,16 @@ func testMatrix(t testing.TB, seed int64, n, blockN, blockNNZ, bgNNZ int) *spars
 	return m
 }
 
+// formats runs GenerateFormats on p, failing the test on error.
+func formats(t testing.TB, p *Prep, a *arch.Arch) *Formats {
+	t.Helper()
+	f, err := GenerateFormats(context.Background(), p, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // smallArch returns a SPADE-Sextans-like architecture with a tile size that
 // suits the small test matrices.
 func smallArch() arch.Arch {
@@ -42,17 +54,18 @@ func TestPreprocessHotTilesPartitionsMatrix(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Hot.NNZ() == 0 {
+	f := formats(t, p, &a)
+	if f.Hot.NNZ() == 0 {
 		t.Fatal("expected some hot tiles for a matrix with a dense block")
 	}
-	if p.Cold == nil || p.Cold.NNZ() == 0 {
+	if f.Cold == nil || f.Cold.NNZ() == 0 {
 		t.Fatal("expected some cold nonzeros")
 	}
-	if p.Cold.NNZ()+p.Hot.NNZ() != m.NNZ() {
+	if f.Cold.NNZ()+f.Hot.NNZ() != m.NNZ() {
 		t.Fatal("sections do not partition the matrix")
 	}
 	// SPADE-Sextans consumes COO on both sides.
-	if p.ColdCSR != nil || p.Hot.CSR {
+	if f.ColdCSR != nil || f.Hot.CSR {
 		t.Fatal("wrong formats for SPADE-Sextans")
 	}
 }
@@ -68,14 +81,15 @@ func TestPreprocessPIUMACSRFormats(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.ColdCSR == nil || p.Cold != nil {
+	f := formats(t, p, &a)
+	if f.ColdCSR == nil || f.Cold != nil {
 		t.Fatal("PIUMA cold section must be CSR")
 	}
-	if !p.Hot.CSR {
+	if !f.Hot.CSR {
 		t.Fatal("PIUMA hot section must be tiled CSR")
 	}
-	for b, ptr := range p.Hot.RowPtr {
-		if len(ptr) != 64+1 && p.Hot.Blocks[b].TR != p.Grid.NumTR-1 {
+	for b, ptr := range f.Hot.RowPtr {
+		if len(ptr) != 64+1 && f.Hot.Blocks[b].TR != p.Grid.NumTR-1 {
 			t.Fatalf("block %d row pointer length %d", b, len(ptr))
 		}
 	}
@@ -92,14 +106,15 @@ func TestPreprocessStrategies(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
+		f := formats(t, p, &a)
 		switch s {
 		case StrategyHotOnly:
-			if p.Cold.NNZ() != 0 {
-				t.Fatalf("HotOnly left %d cold nonzeros", p.Cold.NNZ())
+			if f.Cold.NNZ() != 0 {
+				t.Fatalf("HotOnly left %d cold nonzeros", f.Cold.NNZ())
 			}
 		case StrategyColdOnly:
-			if p.Hot.NNZ() != 0 {
-				t.Fatalf("ColdOnly assigned %d hot nonzeros", p.Hot.NNZ())
+			if f.Hot.NNZ() != 0 {
+				t.Fatalf("ColdOnly assigned %d hot nonzeros", f.Hot.NNZ())
 			}
 		}
 		if p.Partition.Predicted <= 0 {
@@ -148,8 +163,12 @@ func TestTimingBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p.Timing.BaseFormat != 0 || p.Timing.ExtraFormat != 0 {
+		t.Fatal("Preprocess recorded format stages it does not run")
+	}
+	formats(t, p, &a)
 	tm := p.Timing
-	if tm.Total() <= 0 {
+	if tm.Total() <= 0 || tm.BaseFormat <= 0 || tm.ExtraFormat <= 0 {
 		t.Fatal("no preprocessing time recorded")
 	}
 	if tm.Total() != tm.Scan+tm.Partition+tm.BaseFormat+tm.ExtraFormat {
@@ -161,9 +180,9 @@ func TestTimingBreakdown(t *testing.T) {
 }
 
 // TestFunctionalEquivalence is the pipeline's core integration invariant:
-// executing the hot section (tiled traversal) plus the cold section
-// (untiled traversal) and merging the two private output buffers must
-// reproduce the reference SpMM exactly up to summation order.
+// executing the generated hot section (tiled traversal) plus the cold
+// section (untiled traversal) and merging the two private output buffers
+// must reproduce the reference SpMM exactly up to summation order.
 func TestFunctionalEquivalence(t *testing.T) {
 	m := testMatrix(t, 6, 512, 64, 3000, 1500)
 	a := smallArch()
@@ -171,6 +190,7 @@ func TestFunctionalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := formats(t, p, &a)
 	rng := rand.New(rand.NewSource(7))
 	din := dense.NewRandom(rng, m.N, a.K)
 
@@ -182,13 +202,13 @@ func TestFunctionalEquivalence(t *testing.T) {
 
 	// Cold buffer: untiled row-ordered execution.
 	coldBuf := dense.NewMatrix(m.N, a.K)
-	if err := dense.SpMM(p.Cold, din, coldBuf); err != nil {
+	if err := dense.SpMM(f.Cold, din, coldBuf); err != nil {
 		t.Fatal(err)
 	}
 
 	// Hot buffer: tiled traversal over the hot blocks.
 	hotBuf := dense.NewMatrix(m.N, a.K)
-	for _, b := range p.Hot.Blocks {
+	for _, b := range f.Hot.Blocks {
 		for i := range b.Vals {
 			r, c, v := b.Rows[i], b.Cols[i], b.Vals[i]
 			in := din.Row(int(c))
@@ -206,5 +226,19 @@ func TestFunctionalEquivalence(t *testing.T) {
 	if !coldBuf.AlmostEqual(want, 1e-9) {
 		d, _ := coldBuf.MaxAbsDiff(want)
 		t.Fatalf("partitioned execution differs from reference by %g", d)
+	}
+}
+
+func TestGenerateFormatsCanceled(t *testing.T) {
+	m := testMatrix(t, 8, 256, 32, 800, 400)
+	a := smallArch()
+	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := GenerateFormats(ctx, p, &a); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -6,14 +6,16 @@ import (
 	"io"
 
 	"repro/internal/partition"
-	"repro/internal/sparse"
 	"repro/internal/tile"
 )
 
 // planWire is the gob wire form of a Prep: the paper's workflow stores the
-// generated formats once (e.g. during GNN training) and reuses them later
+// preprocessing output once (e.g. during GNN training) and reuses it later
 // (inference) without re-running the scan/model/partition pipeline (§VI-B).
-// The tiling grid is stored structurally and revalidated on load.
+// The tiling grid is stored structurally and revalidated on load; the
+// per-worker formats are not stored, since GenerateFormats derives them.
+// Streams from builds that also stored the formats still decode: gob skips
+// fields the struct no longer has.
 type planWire struct {
 	N            int
 	TileH, TileW int
@@ -29,10 +31,6 @@ type planWire struct {
 	Serial    bool
 	Predicted float64
 	Totals    partition.Totals
-
-	HotFormat *TiledMatrix
-	Cold      *sparse.COO
-	ColdCSR   *sparse.CSR
 }
 
 // WritePlan serializes a preprocessing plan. Timings are not persisted
@@ -57,9 +55,6 @@ func WritePlan(w io.Writer, p *Prep) error {
 		Serial:     p.Partition.Serial,
 		Predicted:  p.Partition.Predicted,
 		Totals:     p.Partition.Totals,
-		HotFormat:  p.Hot,
-		Cold:       p.Cold,
-		ColdCSR:    p.ColdCSR,
 	}
 	return gob.NewEncoder(w).Encode(&wire)
 }
@@ -71,37 +66,19 @@ func ReadPlan(r io.Reader) (*Prep, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("hotcore: decoding plan: %w", err)
 	}
-	g := &tile.Grid{
-		N:          wire.N,
-		TileH:      wire.TileH,
-		TileW:      wire.TileW,
-		NumTR:      wire.NumTR,
-		NumTC:      wire.NumTC,
-		Tiles:      wire.Tiles,
-		PanelStart: wire.PanelStart,
-		Rows:       wire.Rows,
-		Cols:       wire.Cols,
-		Vals:       wire.Vals,
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("hotcore: stored grid invalid: %w", err)
-	}
-	if len(wire.Hot) != len(g.Tiles) {
-		return nil, fmt.Errorf("hotcore: stored assignment length %d, grid has %d tiles",
-			len(wire.Hot), len(g.Tiles))
-	}
-	// A corrupt stream can decode into a missing hot section or one whose
-	// private geometry disagrees with the grid; reject both before
-	// Validate leans on them.
-	if wire.HotFormat == nil {
-		return nil, fmt.Errorf("hotcore: stored plan missing hot section")
-	}
-	if wire.HotFormat.N != g.N || wire.HotFormat.TileH != g.TileH || wire.HotFormat.TileW != g.TileW {
-		return nil, fmt.Errorf("hotcore: stored hot section geometry %d/%dx%d disagrees with grid %d/%dx%d",
-			wire.HotFormat.N, wire.HotFormat.TileH, wire.HotFormat.TileW, g.N, g.TileH, g.TileW)
-	}
 	p := &Prep{
-		Grid: g,
+		Grid: &tile.Grid{
+			N:          wire.N,
+			TileH:      wire.TileH,
+			TileW:      wire.TileW,
+			NumTR:      wire.NumTR,
+			NumTC:      wire.NumTC,
+			Tiles:      wire.Tiles,
+			PanelStart: wire.PanelStart,
+			Rows:       wire.Rows,
+			Cols:       wire.Cols,
+			Vals:       wire.Vals,
+		},
 		Partition: partition.Result{
 			Hot:       wire.Hot,
 			Heuristic: wire.Heuristic,
@@ -109,9 +86,6 @@ func ReadPlan(r io.Reader) (*Prep, error) {
 			Predicted: wire.Predicted,
 			Totals:    wire.Totals,
 		},
-		Hot:     wire.HotFormat,
-		Cold:    wire.Cold,
-		ColdCSR: wire.ColdCSR,
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("hotcore: stored plan invalid: %w", err)

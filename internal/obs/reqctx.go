@@ -2,8 +2,9 @@
 // carry a single ID through its access-log line, response header, span
 // tree, planstore singleflight joins, and hotcore preprocessing stages
 // (DESIGN.md §18). IDs arrive on X-Request-ID or the W3C traceparent
-// header and are minted otherwise; the request-scoped logger and span ride
-// the same context so library code tags records without knowing about HTTP.
+// header and are minted otherwise. The ID itself rides as the req attr of
+// the request-scoped logger and root span, which travel on the context so
+// library code tags records without knowing about HTTP.
 package obs
 
 import (
@@ -27,24 +28,9 @@ const TraceparentHeader = "traceparent"
 type ctxKey int
 
 const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyLogger
+	ctxKeyLogger ctxKey = iota
 	ctxKeySpan
 )
-
-// WithRequestID returns ctx carrying the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKeyRequestID, id)
-}
-
-// RequestID returns the request ID on ctx ("" when absent).
-func RequestID(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
 
 // WithLogger returns ctx carrying a request-scoped logger.
 func WithLogger(ctx context.Context, l *Logger) context.Context {

@@ -7,21 +7,6 @@ import (
 	"testing"
 )
 
-func TestRequestIDContext(t *testing.T) {
-	ctx := context.Background()
-	if got := RequestID(ctx); got != "" {
-		t.Errorf("empty context carries id %q", got)
-	}
-	var nilCtx context.Context
-	if got := RequestID(nilCtx); got != "" {
-		t.Errorf("nil context carries id %q", got)
-	}
-	ctx = WithRequestID(ctx, "abc-123")
-	if got := RequestID(ctx); got != "abc-123" {
-		t.Errorf("RequestID = %q, want abc-123", got)
-	}
-}
-
 func TestCtxLoggerAndSpan(t *testing.T) {
 	var nilCtx context.Context
 	if CtxLog(nilCtx) != nil || CtxSpan(nilCtx) != nil {

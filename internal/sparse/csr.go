@@ -26,9 +26,9 @@ func (m *CSR) Row(r int) ([]int32, []float64) {
 // Validate checks structural invariants: monotone row pointers covering all
 // nonzeros, in-range sorted column indices within each row. Monotonicity is
 // established for the whole pointer array before any pointer is used to
-// index Cols — a decoded-from-disk CSR (hotcore.ReadPlan) can carry a
-// locally increasing but globally non-monotone RowPtr (e.g. [0, 10, 5])
-// whose early rows would otherwise index past the column slice.
+// index Cols — a CSR decoded from untrusted bytes can carry a locally
+// increasing but globally non-monotone RowPtr (e.g. [0, 10, 5]) whose
+// early rows would otherwise index past the column slice.
 func (m *CSR) Validate() error {
 	if m.N <= 0 {
 		return fmt.Errorf("sparse: non-positive dimension %d", m.N)

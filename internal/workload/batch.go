@@ -47,8 +47,8 @@ type RequestResult struct {
 	// it on the shared clock (requests run back to back in submission
 	// order, so Finish(i) = Start(i) + Time(i) and Start(i+1) = Finish(i)).
 	Time, Start, Finish float64
-	// PlanShared reports whether this request reused a plan built for an
-	// earlier-keyed request in the same batch.
+	// PlanShared reports whether an earlier request in submission order
+	// has the same plan key, so this request reused that request's plan.
 	PlanShared bool
 	// Output is the functional SpMM/SpMV result; SDDMM holds the sampled
 	// products for that kernel. Both nil with SkipFunctional.
@@ -101,7 +101,6 @@ func RunBatch(ctx context.Context, a *arch.Arch, reqs []Request, opts BatchOptio
 	// the first request of each combination constructs pools.
 	var units sim.UnitCache
 	results := make([]RequestResult, len(reqs))
-	shared := make([]bool, len(reqs)) // true when the cache had the plan built
 	err := par.ForEachErr(len(reqs), func(i int) error {
 		r := &reqs[i]
 		if r.Matrix == nil {
@@ -115,9 +114,7 @@ func RunBatch(ctx context.Context, a *arch.Arch, reqs []Request, opts BatchOptio
 		if ops == 0 {
 			ops = 2
 		}
-		built := false
 		plan, err := plans.Get(planKey(r), func() (*hotcore.Prep, error) {
-			built = true
 			return hotcore.PreprocessCtx(ctx, r.Matrix, a, hotcore.Options{
 				Strategy:  r.Strategy,
 				OpsPerMAC: ops,
@@ -128,7 +125,6 @@ func RunBatch(ctx context.Context, a *arch.Arch, reqs []Request, opts BatchOptio
 		if err != nil {
 			return fmt.Errorf("workload: batch request %q: %w", name, err)
 		}
-		shared[i] = !built
 		sr := semiring.PlusTimes()
 		sr.OpsPerMAC = ops
 		res, err := sim.Run(plan.Grid, plan.Partition.Hot, a, r.Din, sim.Options{
@@ -158,10 +154,15 @@ func RunBatch(ctx context.Context, a *arch.Arch, reqs []Request, opts BatchOptio
 	}
 
 	// Serial reduction in submission order: the shared-accelerator FIFO.
+	// Plan sharing is credited in the same order, whichever request's
+	// build the cache happened to run first.
 	out := &BatchResult{Results: results}
+	seen := make(map[string]bool, len(reqs))
 	clock := 0.0
 	for i := range out.Results {
-		out.Results[i].PlanShared = shared[i]
+		key := planKey(&reqs[i])
+		out.Results[i].PlanShared = seen[key]
+		seen[key] = true
 		out.Results[i].Start = clock
 		clock += out.Results[i].Time
 		out.Results[i].Finish = clock
